@@ -1,7 +1,9 @@
 #include "net/tcp_transport.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -9,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 
@@ -72,7 +75,12 @@ TcpCommWorld::TcpCommWorld(std::uint16_t port, Options options)
     : options_(options),
       listener_(tcpListen(port)),
       port_(localPort(listener_)),
-      tel_(NetTelemetry::registerIn(options.telemetry)) {}
+      wakeFd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+      tel_(NetTelemetry::registerIn(options.telemetry)) {
+  if (!wakeFd_.valid()) {
+    throw std::runtime_error(std::string("TcpCommWorld: eventfd: ") + std::strerror(errno));
+  }
+}
 
 TcpCommWorld::~TcpCommWorld() = default;
 
@@ -436,7 +444,19 @@ int TcpCommWorld::connectedClients() const noexcept {
   return n;
 }
 
-void TcpCommWorld::pump(double timeoutSeconds) { pollOnce(timeoutSeconds); }
+void TcpCommWorld::pump(double timeoutSeconds) {
+  // A wake drained by an earlier recv pass still owes its caller a turn.
+  pollOnce(std::exchange(woken_, false) ? 0.0 : timeoutSeconds);
+  woken_ = false;
+}
+
+void TcpCommWorld::wake() noexcept {
+  const std::uint64_t one = 1;
+  if (::write(wakeFd_.fd(), &one, sizeof one) < 0) {
+    // EAGAIN: the counter is saturated, so the fd is already readable and
+    // the wake is pending anyway.
+  }
+}
 
 void TcpCommWorld::servicePeer(Rank rank) {
   Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
@@ -540,11 +560,13 @@ void TcpCommWorld::handleSnapshot(Rank rank, const TelemetrySnapshot& snap) {
 
 void TcpCommWorld::pollOnce(double timeoutSeconds) {
   std::vector<pollfd> fds;
-  // Order: listener, pending peers, live peers (kinds recovered by index).
-  // The pending count is snapshotted here: serviceListener() below may
-  // append freshly accepted peers, which were never polled and must not be
-  // indexed against this pass's fds — they get polled next pass.
+  // Order: listener, wake fd, pending peers, live peers, clients (kinds
+  // recovered by index).  The pending count is snapshotted here:
+  // serviceListener() below may append freshly accepted peers, which were
+  // never polled and must not be indexed against this pass's fds — they
+  // get polled next pass.
   fds.push_back({listener_.fd(), POLLIN, 0});
+  fds.push_back({wakeFd_.fd(), POLLIN, 0});
   const std::size_t polledPending = pending_.size();
   for (const PendingPeer& p : pending_) fds.push_back({p.sock.fd(), POLLIN, 0});
   std::vector<Rank> liveRanks;
@@ -571,6 +593,14 @@ void TcpCommWorld::pollOnce(double timeoutSeconds) {
   if (ready > 0) {
     std::size_t idx = 0;
     if (fds[idx].revents & POLLIN) serviceListener();
+    ++idx;
+    if (fds[idx].revents & POLLIN) {
+      std::uint64_t count = 0;
+      if (::read(wakeFd_.fd(), &count, sizeof count) < 0) {
+        // Only this thread reads the fd, so after POLLIN this succeeds.
+      }
+      woken_ = true;
+    }
     ++idx;
     // Walk pending list back to front so erasure is index-stable.
     for (std::size_t i = polledPending; i-- > 0;) {
@@ -675,7 +705,10 @@ TcpWorkerTransport::TcpWorkerTransport(const std::string& host, std::uint16_t po
     writeFrameLocked(makeHelloFrame(), /*nothrow=*/false);
   }
   // Wait for the Welcome; any stray frames decoded alongside it (the
-  // greeting often rides the same segment) stay queued for recv().
+  // greeting often rides the same segment) stay queued for recv().  The
+  // master-silence clock starts now: fill() measures it from lastHeard_,
+  // and left at zero it would read the whole uptime as silence.
+  lastHeard_ = monotonicSeconds();
   const double deadline = monotonicSeconds() + options_.handshakeTimeoutSeconds;
   std::optional<Welcome> welcome;
   while (!welcome.has_value()) {

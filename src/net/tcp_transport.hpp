@@ -125,8 +125,9 @@ struct TcpWorkerOptions {
 /// in-flight task, and the lost rank's `fleet.r<N>.*` gauges are retired.
 ///
 /// Threading: intended to be driven by one (master) thread; not
-/// thread-safe.  All I/O happens inside recv/recvFor/tryRecv/send and
-/// waitForWorkers — there is no background thread on the master side.
+/// thread-safe, except wake().  All I/O happens inside recv/recvFor/
+/// tryRecv/send/pump and waitForWorkers — there is no background thread on
+/// the master side.
 class TcpCommWorld final : public Transport {
  public:
   using Options = TcpMasterOptions;
@@ -175,9 +176,18 @@ class TcpCommWorld final : public Transport {
 
   /// Drive one pass of the event loop without receiving: accepts joiners,
   /// reads client/worker frames into the inboxes, flushes pending writes,
-  /// runs heartbeat bookkeeping.  The daemon idle loop calls this so the
-  /// world keeps turning while no MW task is outstanding.
+  /// runs heartbeat bookkeeping.  The daemon loop waits here, so it also
+  /// returns early on a wake() — including one that landed since the last
+  /// pump, while a recv/recvFor/tryRecv pass was polling.
   void pump(double timeoutSeconds);
+
+  /// Thread-safe: end the current pump() wait early, or the next one if
+  /// none is in progress.  Wakes do not coalesce into lost signals: one
+  /// issued at any time after a pump returned ends the following pump.
+  /// recv/recvFor never return early on a wake, so a wake is never read
+  /// as fabric silence.  The service's job threads call this when they
+  /// queue a shard or finish, so the daemon turns a round around at once.
+  void wake() noexcept;
 
   // -- Transport (at/from must be rank 0) ---------------------------------
   [[nodiscard]] int size() const noexcept override;
@@ -256,6 +266,11 @@ class TcpCommWorld final : public Transport {
   Options options_;
   Socket listener_;
   std::uint16_t port_ = 0;
+  /// eventfd written by wake() (Socket is used as a plain fd owner); polled
+  /// with the sockets on every pass.
+  Socket wakeFd_;
+  /// A pass drained a wake; the next pump() returns without waiting.
+  bool woken_ = false;
   std::vector<std::unique_ptr<Peer>> peers_;        ///< index = rank - 1
   std::vector<PendingPeer> pending_;                ///< accepted, awaiting Hello
   std::vector<std::unique_ptr<ClientPeer>> clients_;  ///< index = client id - 1

@@ -37,11 +37,21 @@ JobRecord* JobTable::find(std::uint64_t id) {
   return it != jobs_.end() ? &it->second : nullptr;
 }
 
+const FinishedRecord* JobTable::findFinished(std::uint64_t id) const {
+  const auto it = finished_.find(id);
+  return it != finished_.end() ? &it->second : nullptr;
+}
+
 JobRecord* JobTable::nextQueued() {
   for (auto& [id, rec] : jobs_) {
     if (rec.state == JobState::Queued) return &rec;
   }
   return nullptr;
+}
+
+void JobTable::finish(std::uint64_t id, FinishedRecord record) {
+  jobs_.erase(id);
+  finished_.insert_or_assign(id, std::move(record));
 }
 
 void JobTable::restore(JobRecord rec) {
@@ -56,39 +66,33 @@ void JobTable::setNextId(std::uint64_t next) noexcept {
 
 std::vector<std::uint64_t> JobTable::evictFinishedOver(std::size_t cap) {
   std::vector<std::uint64_t> evictedIds;
-  std::size_t finished = 0;
-  for (const auto& [id, rec] : jobs_) {
-    finished += (rec.state == JobState::Done || rec.state == JobState::Cancelled ||
-                 rec.state == JobState::Failed)
-                    ? 1
-                    : 0;
-  }
-  // std::map iterates in ascending id order, so the first terminal entries
-  // seen are the oldest ones.
-  for (auto it = jobs_.begin(); it != jobs_.end() && finished > cap;) {
-    JobRecord& rec = it->second;
-    if (rec.state != JobState::Done && rec.state != JobState::Cancelled &&
-        rec.state != JobState::Failed) {
-      ++it;
-      continue;
-    }
-    if (rec.thread.joinable()) rec.thread.join();
-    evicted_.emplace(it->first, rec.state);
+  // std::map iterates in ascending id order, so the front is the oldest.
+  while (finished_.size() > cap) {
+    const auto it = finished_.begin();
+    markEvicted(it->first, it->second.state);
     evictedIds.push_back(it->first);
-    it = jobs_.erase(it);
-    --finished;
+    finished_.erase(it);
   }
   return evictedIds;
 }
 
-const JobState* JobTable::evictedState(std::uint64_t id) const {
-  const auto it = evicted_.find(id);
-  return it != evicted_.end() ? &it->second : nullptr;
+std::optional<JobState> JobTable::evictedState(std::uint64_t id) const {
+  if (id >= evicted_.size() || evicted_[id] == 0) return std::nullopt;
+  return static_cast<JobState>(evicted_[id] - 1);
 }
 
 void JobTable::markEvicted(std::uint64_t id, JobState finalState) {
-  evicted_.insert_or_assign(id, finalState);
   if (id >= nextId_) nextId_ = id + 1;
+  // Ids past the ticket namespace (jobTraceNamespace would overflow) only
+  // come from a damaged journal; count them but do not size the index by
+  // them.
+  if (id >= (std::uint64_t{1} << (64 - kJobTraceShift))) {
+    ++evictedCount_;
+    return;
+  }
+  if (id >= evicted_.size()) evicted_.resize(id + 1, 0);
+  if (evicted_[id] == 0) ++evictedCount_;
+  evicted_[id] = static_cast<std::uint8_t>(static_cast<int>(finalState) + 1);
 }
 
 int JobTable::runningCount() const noexcept {
@@ -101,25 +105,6 @@ int JobTable::queuedCount() const noexcept {
   int n = 0;
   for (const auto& [id, rec] : jobs_) n += rec.state == JobState::Queued ? 1 : 0;
   return n;
-}
-
-std::int64_t JobTable::completedCount() const noexcept {
-  // Evicted jobs were terminal when they left the table; counting them
-  // keeps the --max-jobs budget honest under --result-retention.
-  std::int64_t n = static_cast<std::int64_t>(evicted_.size());
-  for (const auto& [id, rec] : jobs_) {
-    n += (rec.state == JobState::Done || rec.state == JobState::Cancelled ||
-          rec.state == JobState::Failed)
-             ? 1
-             : 0;
-  }
-  return n;
-}
-
-bool JobTable::anyActive() const noexcept {
-  return std::any_of(jobs_.begin(), jobs_.end(), [](const auto& kv) {
-    return kv.second.state == JobState::Queued || kv.second.state == JobState::Running;
-  });
 }
 
 }  // namespace sfopt::service

@@ -14,10 +14,20 @@
 
 namespace sfopt::service {
 
+namespace {
+
+/// Longest the daemon sleeps with nothing to do.  Job threads and sockets
+/// wake it, so this only bounds how stale the stop flag, the --max-jobs
+/// exit check and the journal-size gauge can get while idle.
+constexpr double kIdleSliceSeconds = 0.05;
+
+}  // namespace
+
 OptimizationService::OptimizationService(net::TcpCommWorld& comm, ServiceOptions options)
     : comm_(comm),
       opts_(options),
-      table_(options.maxConcurrentJobs, options.maxQueuedJobs) {
+      table_(options.maxConcurrentJobs, options.maxQueuedJobs),
+      exchange_([this] { comm_.wake(); }) {
   if (opts_.telemetry != nullptr) {
     auto& m = opts_.telemetry->metrics();
     jobsSubmitted_ = &m.counter("service.jobs.submitted");
@@ -45,12 +55,12 @@ OptimizationService::OptimizationService(net::TcpCommWorld& comm, ServiceOptions
 OptimizationService::~OptimizationService() {
   // Defensive: run() normally tears everything down, but if it threw we
   // must not destroy the exchange while engine threads still reference it.
-  for (auto& [id, rec] : table_.all()) {
+  for (auto& [id, rec] : table_.active()) {
     if (rec.state == JobState::Running) {
       exchange_.abort(id, "service destroyed", false);
     }
   }
-  for (auto& [id, rec] : table_.all()) {
+  for (auto& [id, rec] : table_.active()) {
     if (rec.thread.joinable()) rec.thread.join();
   }
 }
@@ -82,28 +92,24 @@ void OptimizationService::recoverState() {
       ++finishedJobs;
       continue;
     }
+    if (job.state != JobState::Queued && job.state != JobState::Running) {
+      table_.finish(job.id,
+                    FinishedRecord{job.state, std::move(job.error), std::move(job.outcome)});
+      ++finishedJobs;
+      continue;
+    }
     JobRecord rec;
     rec.id = job.id;
     rec.spec = std::move(job.spec);
     rec.client = -1;  // the submitting client died with the old daemon
     rec.submittedAt = telNow();
-    switch (job.state) {
-      case JobState::Queued:
-        ++queued;
-        break;
-      case JobState::Running:
-        // Re-admitted as queued; promotion resumes it from the snapshot
-        // (or from its journaled initial simplex when none exists).
-        rec.resume = std::move(job.checkpoint);
-        ++running;
-        break;
-      default:
-        rec.state = job.state;
-        rec.error = std::move(job.error);
-        rec.outcome = std::move(job.outcome);
-        rec.finishedAt = rec.submittedAt;
-        ++finishedJobs;
-        break;
+    if (job.state == JobState::Running) {
+      // Re-admitted as queued; promotion resumes it from the snapshot (or
+      // from its journaled initial simplex when none exists).
+      rec.resume = std::move(job.checkpoint);
+      ++running;
+    } else {
+      ++queued;
     }
     table_.restore(std::move(rec));
   }
@@ -168,22 +174,18 @@ void OptimizationService::reapFinished() {
     JobRecord* rec = table_.find(f.id);
     if (rec == nullptr) continue;
     if (rec->thread.joinable()) rec->thread.join();
-    finalizeJob(*rec, f.state, std::move(f.outcome), std::move(f.error));
+    finalizeJob(*rec, std::move(f.record));
   }
 }
 
-void OptimizationService::finalizeJob(JobRecord& rec, JobState state,
-                                      std::optional<JobOutcome> outcome,
-                                      std::string error) {
-  rec.state = state;
-  rec.outcome = std::move(outcome);
-  rec.error = std::move(error);
-  rec.finishedAt = telNow();
-  if (durable_ != nullptr && !(durableShutdown_ && rec.state != JobState::Done)) {
-    durable_->recordFinished(rec.id, rec.state, rec.error, rec.outcome);
-    durable_->removeJobCheckpoint(rec.id);
+void OptimizationService::finalizeJob(JobRecord& rec, FinishedRecord result) {
+  const std::uint64_t id = rec.id;
+  const double finishedAt = telNow();
+  if (durable_ != nullptr && !(durableShutdown_ && result.state != JobState::Done)) {
+    durable_->recordFinished(id, result.state, result.error, result.outcome);
+    durable_->removeJobCheckpoint(id);
   }
-  exchange_.closeJob(rec.id);
+  exchange_.closeJob(id);
   // In-flight routes stay: their completions still arrive from the fleet
   // and progress() marks each one shard.discarded (closed job) so the
   // span trees terminate.  fleetFailure clears them if the fleet dies.
@@ -191,13 +193,13 @@ void OptimizationService::finalizeJob(JobRecord& rec, JobState state,
   if (opts_.telemetry != nullptr) {
     opts_.telemetry->tracer().emitComplete(
         "service.job", started, 0,
-        {{"outcome", std::string(toString(rec.state))},
+        {{"outcome", std::string(toString(result.state))},
          {"algorithm", rec.spec.algorithm},
          {"function", rec.spec.objective.function}},
-        {{"job", static_cast<double>(rec.id)}}, jobTraceNamespace(rec.id));
+        {{"job", static_cast<double>(id)}}, jobTraceNamespace(id));
   }
-  if (jobSeconds_ != nullptr) jobSeconds_->observe(rec.finishedAt - started);
-  switch (rec.state) {
+  if (jobSeconds_ != nullptr) jobSeconds_->observe(finishedAt - started);
+  switch (result.state) {
     case JobState::Done:
       if (jobsCompleted_ != nullptr) jobsCompleted_->add(1);
       break;
@@ -208,25 +210,46 @@ void OptimizationService::finalizeJob(JobRecord& rec, JobState state,
       if (jobsFailed_ != nullptr) jobsFailed_->add(1);
       break;
   }
-  logLine("job " + std::to_string(rec.id) + ": " + std::string(toString(rec.state)) +
-          (rec.error.empty() ? "" : " (" + rec.error + ")"));
-  notifyResult(rec);
+  logLine("job " + std::to_string(id) + ": " + std::string(toString(result.state)) +
+          (result.error.empty() ? "" : " (" + result.error + ")"));
+  notifyResult(rec.client, id, result);
+  table_.finish(id, std::move(result));
 }
 
-void OptimizationService::notifyResult(const JobRecord& rec) {
-  if (rec.client < 1) return;
+void OptimizationService::notifyResult(int client, std::uint64_t id,
+                                       const FinishedRecord& result) {
+  if (client < 1) return;
   ResultReply reply;
-  reply.jobId = rec.id;
-  reply.state = rec.state;
-  reply.detail = rec.error;
-  reply.outcome = rec.outcome;
+  reply.jobId = id;
+  reply.state = result.state;
+  reply.detail = result.error;
+  reply.outcome = result.outcome;
   mw::MessageBuffer buf;
   reply.pack(buf);
   try {
-    comm_.sendToClient(rec.client, net::FrameType::JobResult, std::move(buf));
+    comm_.sendToClient(client, net::FrameType::JobResult, std::move(buf));
   } catch (const std::exception&) {
     // Client id no longer valid; the result stays queryable via status.
   }
+}
+
+const FinishedRecord* OptimizationService::describeInactive(std::uint64_t id,
+                                                            JobState& state,
+                                                            std::string& detail) const {
+  if (const FinishedRecord* done = table_.findFinished(id); done != nullptr) {
+    state = done->state;
+    detail = done->error;
+    return done;
+  }
+  if (const std::optional<JobState> evicted = table_.evictedState(id)) {
+    state = *evicted;
+    detail = "result evicted by --result-retention (final state " +
+             std::string(toString(*evicted)) + "); the journal retains it";
+  } else {
+    state = JobState::Unknown;
+    detail = "no such job";
+  }
+  return nullptr;
 }
 
 void OptimizationService::sendStatus(int client, const StatusReply& reply) {
@@ -328,23 +351,12 @@ void OptimizationService::handleStatus(net::TcpCommWorld::ClientRequest& req) {
     sendStatus(req.client, reply);
     return;
   }
-  JobRecord* rec = table_.find(id);
-  if (rec == nullptr) {
-    reply.jobId = id;
-    if (const JobState* evicted = table_.evictedState(id); evicted != nullptr) {
-      reply.state = *evicted;
-      reply.detail = "result evicted by --result-retention (final state " +
-                     std::string(toString(*evicted)) + "); the journal retains it";
-    } else {
-      reply.state = JobState::Unknown;
-      reply.detail = "no such job";
-    }
-    sendStatus(req.client, reply);
-    return;
-  }
   reply.jobId = id;
-  reply.state = rec->state;
-  reply.detail = rec->error;
+  if (const JobRecord* rec = table_.find(id); rec != nullptr) {
+    reply.state = rec->state;
+  } else {
+    (void)describeInactive(id, reply.state, reply.detail);
+  }
   sendStatus(req.client, reply);
 }
 
@@ -357,23 +369,13 @@ void OptimizationService::handleResultFetch(net::TcpCommWorld::ClientRequest& re
     reply.detail = "malformed result request";
   }
   if (reply.detail.empty()) {
-    JobRecord* rec = table_.find(reply.jobId);
-    if (rec == nullptr) {
-      if (const JobState* evicted = table_.evictedState(reply.jobId); evicted != nullptr) {
-        reply.state = *evicted;
-        reply.detail = "result evicted by --result-retention (final state " +
-                       std::string(toString(*evicted)) + "); the journal retains it";
-      } else {
-        reply.state = JobState::Unknown;
-        reply.detail = "no such job";
-      }
-    } else if (rec->state == JobState::Queued || rec->state == JobState::Running) {
+    if (const JobRecord* rec = table_.find(reply.jobId); rec != nullptr) {
       reply.state = rec->state;
       reply.detail = "not finished";
-    } else {
-      reply.state = rec->state;
-      reply.detail = rec->error;
-      reply.outcome = rec->outcome;
+    } else if (const FinishedRecord* done =
+                   describeInactive(reply.jobId, reply.state, reply.detail);
+               done != nullptr) {
+      reply.outcome = done->outcome;
     }
   }
   mw::MessageBuffer buf;
@@ -408,22 +410,16 @@ void OptimizationService::handleCancel(net::TcpCommWorld::ClientRequest& req) {
   reply.jobId = id;
   JobRecord* rec = table_.find(id);
   if (rec == nullptr) {
-    reply.state = JobState::Unknown;
-    reply.detail = "no such job";
-    sendStatus(req.client, reply);
-    return;
-  }
-  if (rec->state == JobState::Queued) {
-    finalizeJob(*rec, JobState::Cancelled, std::nullopt, "cancelled before start");
+    (void)describeInactive(id, reply.state, reply.detail);
+    if (reply.state != JobState::Unknown) reply.detail = "already terminal";
+  } else if (rec->state == JobState::Queued) {
+    finalizeJob(*rec, FinishedRecord{JobState::Cancelled, "cancelled before start", {}});
     reply.state = JobState::Cancelled;
     reply.detail = "cancelled";
-  } else if (rec->state == JobState::Running) {
+  } else {
     exchange_.abort(id, "cancelled by client", true);
     reply.state = JobState::Running;
     reply.detail = "cancel requested";
-  } else {
-    reply.state = rec->state;
-    reply.detail = "already terminal";
   }
   sendStatus(req.client, reply);
 }
@@ -464,9 +460,16 @@ void OptimizationService::pumpShards() {
 
 void OptimizationService::progress() {
   if (driver_ != nullptr && driver_->outstanding() > 0) {
+    // Wait in pump(), not in driver_->poll(timeout): a job thread's wake
+    // ends pump() but never a driver receive, so a shard queued while a
+    // neighbour's shard is on the wire is drained at once.
     std::vector<mw::MWDriver::AsyncCompletion> done;
     try {
-      done = driver_->poll(opts_.pollSeconds);
+      done = driver_->poll(0.0);
+      if (done.empty()) {
+        comm_.pump(kIdleSliceSeconds);
+        done = driver_->poll(0.0);
+      }
     } catch (const std::exception& e) {
       fleetFailure(e.what());
       return;
@@ -495,14 +498,15 @@ void OptimizationService::progress() {
     }
   } else {
     // Nothing on the wire to wait for: service the sockets directly so
-    // client frames and worker joins still land without a hot spin.
-    comm_.pump(opts_.pollSeconds);
+    // client frames, worker joins and job-thread wakes land without a hot
+    // spin.
+    comm_.pump(kIdleSliceSeconds);
   }
 }
 
 void OptimizationService::fleetFailure(const std::string& what) {
   logLine("fleet:    failure - " + what);
-  for (auto& [id, rec] : table_.all()) {
+  for (auto& [id, rec] : table_.active()) {
     if (rec.state == JobState::Running) {
       exchange_.abort(id, "worker fleet lost: " + what, false);
     }
@@ -517,21 +521,22 @@ void OptimizationService::shutdownAll() {
   // queued and interrupted running jobs keep their Started entry and
   // last snapshot, so the next daemon resumes all of them.
   durableShutdown_ = durable_ != nullptr;
-  for (auto& [id, rec] : table_.all()) {
+  std::vector<std::uint64_t> queued;
+  for (auto& [id, rec] : table_.active()) {
     if (rec.state == JobState::Running) {
       exchange_.abort(id, "service shutting down", false);
-    } else if (rec.state == JobState::Queued && durable_ == nullptr) {
-      finalizeJob(rec, JobState::Cancelled, std::nullopt, "service shutting down");
+    } else if (durable_ == nullptr) {
+      queued.push_back(id);
     }
+  }
+  for (const std::uint64_t id : queued) {
+    finalizeJob(*table_.find(id),
+                FinishedRecord{JobState::Cancelled, "service shutting down", {}});
   }
   // Wait for every engine thread to unwind and report.
   while (true) {
     reapFinished();
-    bool anyRunning = false;
-    for (auto& [id, rec] : table_.all()) {
-      anyRunning = anyRunning || rec.state == JobState::Running;
-    }
-    if (!anyRunning) break;
+    if (table_.runningCount() == 0) break;
     std::unique_lock<std::mutex> lock(finishedMutex_);
     finishedCv_.wait_for(lock, std::chrono::milliseconds(50),
                          [this] { return !finished_.empty(); });
@@ -551,6 +556,7 @@ void OptimizationService::pushFinished(FinishedJob f) {
     finished_.push_back(std::move(f));
   }
   finishedCv_.notify_all();
+  comm_.wake();
 }
 
 void OptimizationService::jobMain(std::uint64_t id, JobSpec spec,
@@ -594,14 +600,14 @@ void OptimizationService::jobMain(std::uint64_t id, JobSpec spec,
           }
         },
         options);
-    f.state = JobState::Done;
-    f.outcome = JobOutcome::fromResult(res);
+    f.record.state = JobState::Done;
+    f.record.outcome = JobOutcome::fromResult(res);
   } catch (const JobAborted& e) {
-    f.state = e.cancelled() ? JobState::Cancelled : JobState::Failed;
-    f.error = e.what();
+    f.record.state = e.cancelled() ? JobState::Cancelled : JobState::Failed;
+    f.record.error = e.what();
   } catch (const std::exception& e) {
-    f.state = JobState::Failed;
-    f.error = e.what();
+    f.record.state = JobState::Failed;
+    f.record.error = e.what();
   }
   pushFinished(std::move(f));
 }

@@ -37,8 +37,6 @@ struct ServiceOptions {
   /// above it, new submissions are refused retryably until the fleet
   /// catches up.
   std::size_t maxPendingShards = 1024;
-  /// Daemon loop granularity (driver poll / transport pump timeout).
-  double pollSeconds = 0.05;
   /// Exit once this many jobs reached a terminal state (0 = serve until
   /// stopped).  CI smoke runs use it for a bounded daemon lifetime.
   std::int64_t maxJobs = 0;
@@ -52,9 +50,12 @@ struct ServiceOptions {
   /// Snapshot cadence in engine iterations (only meaningful with a state
   /// dir; <= 0 disables snapshots, leaving journal-only durability).
   std::int64_t checkpointInterval = 25;
-  /// Keep at most this many finished jobs in the table, evicting oldest
-  /// first (the journal keeps them durable).  0 = unlimited.
-  std::int64_t resultRetention = 0;
+  /// Keep at most this many finished results in the table, evicting the
+  /// oldest first; an evicted job still answers `status` with its final
+  /// state, and the journal keeps it durable.  0 = unlimited.  Bounded by
+  /// default so a long-lived daemon's memory does not grow with every job
+  /// it ever ran.
+  std::int64_t resultRetention = 256;
   /// Straggler mitigation: duplicate-dispatch a shard to an idle worker
   /// once it has been outstanding longer than this factor times the
   /// fleet's EWMA execute time.  0 = off.
@@ -82,6 +83,11 @@ struct ServiceOptions {
 /// accepting workers and jobs.  Cancelling a job aborts its engine thread
 /// at the next sampling call; its in-flight shards are dropped on
 /// completion.
+///
+/// Event-driven: the daemon thread sleeps in the transport's poll until a
+/// socket is ready or a job thread wakes it (TcpCommWorld::wake) after
+/// queueing a shard or finishing, so a job's round trip never waits out
+/// a poll slice.
 class OptimizationService {
  public:
   OptimizationService(net::TcpCommWorld& comm, ServiceOptions options);
@@ -103,9 +109,7 @@ class OptimizationService {
   };
   struct FinishedJob {
     std::uint64_t id = 0;
-    JobState state = JobState::Failed;
-    std::optional<JobOutcome> outcome;
-    std::string error;
+    FinishedRecord record;
   };
 
   [[nodiscard]] double telNow() const;
@@ -124,9 +128,14 @@ class OptimizationService {
   void pumpShards();
   void progress();
   void fleetFailure(const std::string& what);
-  void finalizeJob(JobRecord& rec, JobState state, std::optional<JobOutcome> outcome,
-                   std::string error);
-  void notifyResult(const JobRecord& rec);
+  /// Journal, report and notify a job's end, then move it to the table's
+  /// finished tier (`rec` is gone on return).
+  void finalizeJob(JobRecord& rec, FinishedRecord result);
+  void notifyResult(int client, std::uint64_t id, const FinishedRecord& result);
+  /// Reply fields for a job that is not active: retained, evicted or
+  /// unknown.  Returns the retained record, if any.
+  const FinishedRecord* describeInactive(std::uint64_t id, JobState& state,
+                                         std::string& detail) const;
   void sendStatus(int client, const StatusReply& reply);
   void shutdownAll();
 

@@ -32,10 +32,14 @@ TicketExchange::Channel& TicketExchange::channelOrThrow(std::uint64_t jobId) {
 }
 
 std::uint64_t TicketExchange::submit(std::uint64_t jobId, mw::MessageBuffer input) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Channel& ch = channelOrThrow(jobId);
-  const std::uint64_t ticket = jobTraceNamespace(jobId) | nextSequence_++;
-  ch.pending.push_back(PendingShard{jobId, ticket, std::move(input)});
+  std::uint64_t ticket = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    Channel& ch = channelOrThrow(jobId);
+    ticket = jobTraceNamespace(jobId) | nextSequence_++;
+    ch.pending.push_back(PendingShard{jobId, ticket, std::move(input)});
+  }
+  if (onSubmit_) onSubmit_();
   return ticket;
 }
 

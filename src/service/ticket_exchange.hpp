@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,6 +51,12 @@ class JobAborted : public std::runtime_error {
 /// variable.
 class TicketExchange {
  public:
+  /// `onSubmit` runs on the submitting job thread after every submit()
+  /// (outside the lock); the daemon passes its transport's wake() so a
+  /// queued shard ends its poll wait at once.
+  explicit TicketExchange(std::function<void()> onSubmit = {})
+      : onSubmit_(std::move(onSubmit)) {}
+
   struct Completion {
     std::uint64_t ticket = 0;
     std::vector<stats::Welford> chunks;
@@ -113,6 +120,7 @@ class TicketExchange {
 
   [[nodiscard]] Channel& channelOrThrow(std::uint64_t jobId);
 
+  const std::function<void()> onSubmit_;
   mutable std::mutex mutex_;
   std::map<std::uint64_t, std::unique_ptr<Channel>> jobs_;
   std::uint64_t nextSequence_ = 1;

@@ -265,12 +265,27 @@ TEST(PartitionChaos, WorkerWriteStallHitsDeadlineThenReconnectsWithFreshRank) {
       ConnectionLost);
 
   proxy.heal();
+  // Failures on either side are captured and reported: an exception
+  // escaping the thread, or a join skipped by a throwing wait, would
+  // std::terminate the whole test binary.
   std::unique_ptr<TcpWorkerTransport> fresh;
+  std::string redialError;
   std::thread redial([&] {
-    fresh = connectWithBackoff("127.0.0.1", proxy.port(), 5, 0.05, wopts);
+    try {
+      fresh = connectWithBackoff("127.0.0.1", proxy.port(), 5, 0.05, wopts);
+    } catch (const std::exception& e) {
+      redialError = e.what();
+    }
   });
-  (void)master.waitForWorkers(2, 10.0);
+  std::string waitError;
+  try {
+    (void)master.waitForWorkers(2, 10.0);
+  } catch (const std::exception& e) {
+    waitError = e.what();
+  }
   redial.join();
+  ASSERT_TRUE(redialError.empty()) << "redial failed: " << redialError;
+  ASSERT_TRUE(waitError.empty()) << waitError;
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->rank(), 2);  // the stale rank is never reused
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -203,6 +204,36 @@ TEST(TcpTransport, MasterOnlyAcceptsRankZeroCalls) {
 TEST(TcpTransport, WaitForWorkersTimesOut) {
   TcpCommWorld master(0);
   EXPECT_THROW((void)master.waitForWorkers(1, 0.1), std::runtime_error);
+}
+
+TEST(TcpTransport, WelcomeSlowerThanOnePollSliceDoesNotTripTheMasterTimeout) {
+  // The worker's master-silence clock must start at the handshake, not at
+  // boot: a master that answers the Hello a few poll slices late (busy,
+  // or still starting up) is not silent past a 30 s timeout.
+  TcpCommWorld master(0);
+  TcpWorkerTransport::Options wopts;
+  wopts.masterTimeoutSeconds = 30.0;
+  std::unique_ptr<TcpWorkerTransport> worker;
+  std::string error;
+  std::thread joiner([&] {
+    try {
+      worker = std::make_unique<TcpWorkerTransport>("127.0.0.1", master.port(), wopts);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  // The master does not service its listener for three 0.2 s poll slices.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  int joined = 0;
+  try {
+    joined = master.waitForWorkers(1, 10.0);
+  } catch (const std::exception&) {
+  }
+  joiner.join();
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_NE(worker, nullptr);
+  EXPECT_EQ(worker->rank(), 1);
+  EXPECT_EQ(joined, 1);
 }
 
 TEST(TcpTransport, ConnectWithBackoffEventuallyThrows) {

@@ -292,7 +292,6 @@ struct Harness {
   explicit Harness(std::int64_t maxJobs, int workerCount = 2,
                    std::chrono::milliseconds slowWorkerDelay = 0ms) {
     opts.maxJobs = maxJobs;
-    opts.pollSeconds = 0.02;
     opts.recvTimeoutSeconds = 20.0;
     for (int i = 0; i < workerCount; ++i) {
       const bool slow = slowWorkerDelay > 0ms && i == 0;
@@ -649,7 +648,6 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
 
   service::ServiceOptions opts;
   opts.maxJobs = 1;
-  opts.pollSeconds = 0.02;
   opts.recvTimeoutSeconds = 30.0;
   daemon = std::thread([&] {
     service::OptimizationService svc(comm, opts);
@@ -785,6 +783,89 @@ TEST(Service, ResultRetentionEvictsOldestAndStatusSaysSo) {
   // The younger job's result is untouched.
   const service::ResultReply kept = fetcher.fetchResult(second);
   EXPECT_TRUE(kept.outcome.has_value()) << kept.detail;
+}
+
+void expectSameOutcome(const service::JobOutcome& a, const service::JobOutcome& b) {
+  EXPECT_EQ(a.best, b.best);
+  EXPECT_EQ(a.bestEstimate, b.bestEstimate);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.totalSamples, b.totalSamples);
+  EXPECT_EQ(a.elapsedTime, b.elapsedTime);
+}
+
+/// Status and result of every job over a fresh connection: the retained
+/// ones answer exactly as at completion, the evicted ones say so with
+/// their final state, and cancelling either is refused as terminal.
+void expectRetainedAndEvicted(std::uint16_t port,
+                              const std::vector<service::ResultReply>& pushed,
+                              std::size_t retained) {
+  service::ServiceClient fetcher("127.0.0.1", port);
+  const std::size_t evictedCount = pushed.size() - retained;
+  for (std::size_t i = 0; i < pushed.size(); ++i) {
+    const std::uint64_t id = pushed[i].jobId;
+    const service::StatusReply status = fetcher.status(id);
+    const service::ResultReply result = fetcher.fetchResult(id);
+    EXPECT_EQ(status.state, service::JobState::Done) << id;
+    EXPECT_EQ(result.state, service::JobState::Done) << id;
+    if (i < evictedCount) {
+      EXPECT_NE(status.detail.find("evicted by --result-retention (final state done)"),
+                std::string::npos)
+          << status.detail;
+      EXPECT_FALSE(result.outcome.has_value()) << id;
+    } else {
+      EXPECT_EQ(status.detail, "") << id;
+      ASSERT_TRUE(result.outcome.has_value()) << id << ": " << result.detail;
+      expectSameOutcome(*result.outcome, *pushed[i].outcome);
+    }
+    const service::StatusReply cancel = fetcher.cancel(id);
+    EXPECT_EQ(cancel.state, service::JobState::Done) << id;
+    EXPECT_EQ(cancel.detail, "already terminal") << id;
+  }
+}
+
+TEST(Service, RetentionCapKeepsCountsExactAndSurvivesARestart) {
+  TempDir state;
+  std::vector<service::ResultReply> pushed;
+  constexpr std::size_t kCap = 3;
+  constexpr int kJobs = 8;
+
+  {
+    Harness h(0);
+    h.opts.stateDir = state.path.string();
+    h.opts.resultRetention = kCap;
+    h.start();
+    service::ServiceClient client("127.0.0.1", h.comm.port());
+    for (int i = 0; i < kJobs; ++i) {
+      ASSERT_EQ(client.submit(makeSpec("sphere", 2, "det", 100 + i, 5)).state,
+                service::JobState::Queued);
+      pushed.push_back(client.waitResult(60.0));
+      ASSERT_EQ(pushed.back().state, service::JobState::Done) << pushed.back().detail;
+      ASSERT_TRUE(pushed.back().outcome.has_value());
+    }
+    // Retention runs at the top of the daemon's next pass; a status round
+    // trip is one.
+    const service::StatusReply summary = client.status(0);
+    EXPECT_EQ(summary.detail, "0 queued, 0 running, 8 finished");
+    expectRetainedAndEvicted(h.comm.port(), pushed, kCap);
+    h.finish();
+    EXPECT_EQ(h.completed, kJobs);
+  }
+
+  // A restarted daemon replays finished and evicted entries into the same
+  // tiers, and its --max-jobs budget counts every one of them.
+  {
+    Harness h(kJobs + 1);
+    h.opts.stateDir = state.path.string();
+    h.opts.resultRetention = kCap;
+    h.start();
+    expectRetainedAndEvicted(h.comm.port(), pushed, kCap);
+    service::ServiceClient client("127.0.0.1", h.comm.port());
+    const service::StatusReply fresh = client.submit(makeSpec("sphere", 2, "det", 1, 5));
+    EXPECT_EQ(fresh.jobId, pushed.back().jobId + 1);
+    EXPECT_EQ(client.waitResult(60.0).state, service::JobState::Done);
+    if (h.daemon.joinable()) h.daemon.join();  // exits on its own budget
+    EXPECT_EQ(h.completed, kJobs + 1);
+  }
 }
 
 }  // namespace

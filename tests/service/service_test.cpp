@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -82,6 +83,27 @@ class DyingServiceWorker final : public service::ServiceWorker {
   int remaining_;
 };
 
+/// Holds the first task it is handed until released, so the daemon has a
+/// shard on the wire that will not complete on its own.
+class HoldFirstTaskWorker final : public service::ServiceWorker {
+ public:
+  HoldFirstTaskWorker(net::Transport& comm, mw::Rank rank, std::shared_future<void> release)
+      : ServiceWorker(comm, rank), release_(std::move(release)) {}
+
+ protected:
+  void executeTask(mw::MessageBuffer& in, mw::MessageBuffer& out) override {
+    if (!held_) {
+      held_ = true;
+      (void)release_.wait_for(60s);
+    }
+    ServiceWorker::executeTask(in, out);
+  }
+
+ private:
+  std::shared_future<void> release_;
+  bool held_ = false;
+};
+
 /// One daemon + worker fleet on an ephemeral port, torn down on scope
 /// exit.  The daemon runs OptimizationService on its own thread with a
 /// maxJobs budget so run() returns once the test's jobs are terminal.
@@ -93,18 +115,24 @@ struct Harness {
   std::atomic<bool> stop{false};
   std::int64_t completed = -1;
 
-  explicit Harness(std::int64_t maxJobs, int workerCount = 2, int dieAfterTasks = -1) {
+  /// Worker 0 dies after `dieAfterTasks` tasks (>= 0), or holds its first
+  /// task until `holdFirstTask` is ready (when valid).
+  explicit Harness(std::int64_t maxJobs, int workerCount = 2, int dieAfterTasks = -1,
+                   std::shared_future<void> holdFirstTask = {}) {
     opts.maxJobs = maxJobs;
-    opts.pollSeconds = 0.02;
     opts.recvTimeoutSeconds = 20.0;
     for (int i = 0; i < workerCount; ++i) {
       const bool dies = dieAfterTasks >= 0 && i == 0;
+      const bool holds = holdFirstTask.valid() && i == 0;
       const std::uint16_t port = comm.port();
-      workers.emplace_back([port, dies, dieAfterTasks] {
+      workers.emplace_back([port, dies, dieAfterTasks, holds, holdFirstTask] {
         try {
           net::TcpWorkerTransport transport("127.0.0.1", port);
           if (dies) {
             DyingServiceWorker worker(transport, transport.rank(), dieAfterTasks);
+            worker.run();
+          } else if (holds) {
+            HoldFirstTaskWorker worker(transport, transport.rank(), holdFirstTask);
             worker.run();
           } else {
             service::ServiceWorker worker(transport, transport.rank());
@@ -268,6 +296,113 @@ TEST(Service, StatusForUnknownJobSaysSo) {
   const service::StatusReply ack = client.submit(makeSpec("sphere", 2, "det", 1, 5));
   ASSERT_EQ(ack.state, service::JobState::Queued);
   EXPECT_EQ(client.waitResult(60.0).state, service::JobState::Done);
+}
+
+// ---------------------------------------------------------------------------
+// Event-driven daemon loop: a job's next round must be picked up as soon as
+// its engine thread queues it, in both places the daemon waits — idle (no
+// shard on the wire) and behind an unrelated in-flight shard.  A daemon
+// that slept out a 50 ms poll slice per round would take at least
+// iterations x 50 ms, since every engine iteration samples at least once;
+// both tests allow half of that.  (Such a daemon measured about 4.5 rounds
+// per iteration on these specs, so it misses the bound by roughly 9x; the
+// event-driven one beats it by about 5x.)
+
+constexpr double kSliceSeconds = 0.05;
+
+double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(Service, ManyRoundJobDoesNotWaitOutAPollSlicePerRound) {
+  const service::JobSpec spec = makeSpec("rosenbrock", 4, "pc", 2026, 80);
+  const core::OptimizationResult solo = soloRun(spec);
+
+  Harness h(1);
+  h.start();
+  service::ServiceClient client("127.0.0.1", h.comm.port());
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(client.submit(spec).state, service::JobState::Queued);
+  const service::ResultReply result = client.waitResult(60.0);
+  const double wall = secondsSince(t0);
+  ASSERT_EQ(result.state, service::JobState::Done) << result.detail;
+  ASSERT_TRUE(result.outcome.has_value());
+  expectBitwiseEqual(*result.outcome, solo);
+  const double sliceBound = static_cast<double>(result.outcome->iterations) * kSliceSeconds;
+  ASSERT_GE(result.outcome->iterations, 40);
+  EXPECT_LT(wall, sliceBound / 2.0) << result.outcome->iterations << " iterations";
+}
+
+/// Sets its promise on scope exit unless already set, so a failed
+/// assertion cannot leave a worker holding and the fleet unjoinable.
+struct ReleaseOnExit {
+  std::promise<void>& promise;
+  bool released = false;
+  void release() {
+    if (!released) promise.set_value();
+    released = true;
+  }
+  ~ReleaseOnExit() { release(); }
+};
+
+TEST(Service, ShardQueuedBehindAnUnrelatedInFlightShardIsDrainedAtOnce) {
+  const service::JobSpec blocked = makeSpec("sphere", 3, "pc", 5, 5);
+  const service::JobSpec busy = makeSpec("rosenbrock", 4, "pc", 2026, 80);
+  const core::OptimizationResult soloBlocked = soloRun(blocked);
+  const core::OptimizationResult soloBusy = soloRun(busy);
+
+  std::promise<void> release;
+  Harness h(2, 2, -1, release.get_future().share());
+  // Declared after the harness, so it releases before the harness joins
+  // its workers.
+  ReleaseOnExit hold{release};
+  h.start();
+  service::ServiceClient clientA("127.0.0.1", h.comm.port());
+  service::ServiceClient clientB("127.0.0.1", h.comm.port());
+  // The first job's initial simplex is spread over both workers; rank 1
+  // sits on its shard, so from here on the daemon waits in the driver
+  // branch with that shard outstanding.
+  const service::StatusReply ackA = clientA.submit(blocked);
+  ASSERT_EQ(ackA.state, service::JobState::Queued);
+  std::this_thread::sleep_for(200ms);
+  ASSERT_EQ(clientA.status(ackA.jobId).state, service::JobState::Running);
+
+  // Every round of the second job runs on rank 2 while rank 1 holds.
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(clientB.submit(busy).state, service::JobState::Queued);
+  const service::ResultReply resultB = clientB.waitResult(60.0);
+  const double wall = secondsSince(t0);
+  hold.release();
+  const service::ResultReply resultA = clientA.waitResult(60.0);
+
+  ASSERT_EQ(resultB.state, service::JobState::Done) << resultB.detail;
+  ASSERT_EQ(resultA.state, service::JobState::Done) << resultA.detail;
+  expectBitwiseEqual(*resultB.outcome, soloBusy);
+  expectBitwiseEqual(*resultA.outcome, soloBlocked);
+  const double sliceBound = static_cast<double>(resultB.outcome->iterations) * kSliceSeconds;
+  ASSERT_GE(resultB.outcome->iterations, 40);
+  EXPECT_LT(wall, sliceBound / 2.0) << resultB.outcome->iterations << " iterations";
+}
+
+TEST(TicketExchange, SubmitRingsTheWakeHookOutsideTheLock) {
+  int rings = 0;
+  service::TicketExchange* self = nullptr;
+  service::TicketExchange ex([&] {
+    // Re-entering the exchange would deadlock if the hook ran under its
+    // lock; the daemon's hook only touches the transport, but the
+    // contract is the same.
+    EXPECT_EQ(self->pendingShards(), static_cast<std::size_t>(rings + 1));
+    ++rings;
+  });
+  self = &ex;
+  ex.openJob(1);
+  (void)ex.submit(1, mw::MessageBuffer{});
+  (void)ex.submit(1, mw::MessageBuffer{});
+  EXPECT_EQ(rings, 2);
+  ex.abort(1, "cancelled", true);
+  EXPECT_THROW((void)ex.submit(1, mw::MessageBuffer{}), service::JobAborted);
+  EXPECT_EQ(rings, 2);  // a refused submit queues nothing to wake for
+  ex.closeJob(1);
 }
 
 TEST(TicketExchange, RoundRobinInterleavesJobsFairly) {

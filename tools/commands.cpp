@@ -301,7 +301,7 @@ int runServeDaemon(const Args& args, std::ostream& out) {
   svcOpts.stateDir = args.getString("state-dir", "");
   svcOpts.checkpointInterval = args.getInt("checkpoint-interval", 25);
   if (svcOpts.checkpointInterval < 0) throw ArgError("--checkpoint-interval must be >= 0");
-  svcOpts.resultRetention = args.getInt("result-retention", 0);
+  svcOpts.resultRetention = args.getInt("result-retention", svcOpts.resultRetention);
   if (svcOpts.resultRetention < 0) throw ArgError("--result-retention must be >= 0");
   svcOpts.speculativeFactor = args.getDouble("speculative-factor", 0.0);
   if (svcOpts.speculativeFactor < 0.0) throw ArgError("--speculative-factor must be >= 0");
@@ -1159,7 +1159,8 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "           [--max-jobs K]   (multi-tenant service; jobs via submit)\n";
   out << "           [--state-dir DIR] [--checkpoint-interval I] (durable: journal\n";
   out << "           + checkpoints; a restarted daemon resumes its jobs)\n";
-  out << "           [--result-retention N] [--speculative-factor F]\n";
+  out << "           [--result-retention N (default 256, 0 = unlimited)]\n";
+  out << "           [--speculative-factor F]\n";
   out << "  submit   --host H --port P --function F --dim D --algorithm A ...\n";
   out << "           [--detach] [--priority 1..100] (same flags/defaults as optimize)\n";
   out << "  status   --host H --port P [--job N] [--result]  (N omitted = summary;\n";
