@@ -55,6 +55,22 @@ void BenchReport::add(std::string name, double value, std::string unit) {
   results.push_back({std::move(name), value, std::move(unit)});
 }
 
+void BenchReport::addMedian(std::string name, std::vector<double> samples, std::string unit) {
+  const MedianSpread m = medianSpread(std::move(samples));
+  results.push_back({std::move(name), m.median, std::move(unit), m.iqr});
+}
+
+MedianSpread medianSpread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
 bool BenchReport::writeJson(const std::string& path) const {
   std::ostringstream out;
   out << "{\n  \"bench\": \"";
@@ -74,7 +90,12 @@ bool BenchReport::writeJson(const std::string& path) const {
     appendNumber(out, r.value);
     out << ", \"unit\": \"";
     appendEscaped(out, r.unit);
-    out << "\"}" << (i + 1 < results.size() ? "," : "") << "\n";
+    out << "\"";
+    if (r.spread >= 0.0) {
+      out << ", \"spread\": ";
+      appendNumber(out, r.spread);
+    }
+    out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 

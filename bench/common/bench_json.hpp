@@ -14,6 +14,10 @@ struct BenchResult {
   std::string name;
   double value = 0.0;
   std::string unit;
+  /// Interquartile range of the repetitions `value` is the median of;
+  /// negative (not written) for a single measurement.  bench_diff.py
+  /// ignores it; it tells a reader how much of a diff is rerun noise.
+  double spread = -1.0;
 };
 
 /// Machine-readable bench output (`BENCH_*.json` at the repo root).  The
@@ -25,11 +29,21 @@ struct BenchReport {
   std::vector<BenchResult> results;
 
   void add(std::string name, double value, std::string unit);
+  /// Record the median of `samples` with their interquartile range.
+  void addMedian(std::string name, std::vector<double> samples, std::string unit);
 
   /// Write the report as a single JSON object.  Returns false (after
   /// printing to stderr) when the file cannot be opened.
   [[nodiscard]] bool writeJson(const std::string& path) const;
 };
+
+/// Median and interquartile range (linear interpolation between order
+/// statistics) of a non-empty sample.
+struct MedianSpread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+[[nodiscard]] MedianSpread medianSpread(std::vector<double> samples);
 
 /// Median wall seconds over `reps` invocations of fn.
 [[nodiscard]] double medianSeconds(int reps, const std::function<void()>& fn);

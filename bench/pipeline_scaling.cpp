@@ -4,15 +4,17 @@
 //
 // Part 1 compares mw.worker_idle_fraction and wall time for sharded
 // (--shard-min-samples 64) vs unsharded batches at 1, 2 and 4 workers.
-// Both arms run through the async scheduler (the unsharded arm uses an
-// unreachable shard threshold) so the idle-fraction instrumentation,
-// which lives on the async dispatch path, sees the same traffic.
 //
 // Part 2 runs PC with speculation on/off and reports the speculation hit
 // rate alongside engine.pc.rounds_per_comparison — the overlap does not
 // change the trajectory (bitwise-equivalence is enforced by tests), so
 // the win shows up purely in wall time and worker occupancy.
+//
+// Usage: pipeline_scaling [--reps N] [workers...] [--json PATH]
+// (default 5 repetitions; workers 1 2 4).  Every row is the median over
+// the repetitions, with the interquartile range as its spread.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -73,9 +75,7 @@ struct ShardRow {
 /// co-samples one dominant vertex (a big refinement the gate demanded) next
 /// to a few small trial refreshes.  Unsharded, the dominant batch is a
 /// single indivisible task and W-1 workers wait for it; sharded, its chunks
-/// spread across the fleet.  Both arms run through the async scheduler (the
-/// unsharded arm uses an unreachable threshold) so the idle-fraction
-/// instrumentation sees the same dispatch traffic.
+/// spread across the fleet.
 ShardRow runShardArm(int workers, bool sharded) {
   constexpr int kRounds = 24;
   constexpr std::int64_t kDominant = 32'768;
@@ -100,7 +100,7 @@ ShardRow runShardArm(int workers, bool sharded) {
 
   core::SamplingContext::Options o;
   o.backend = &backend;
-  o.shardMinSamples = sharded ? 64 : std::numeric_limits<std::int64_t>::max() / 2;
+  o.shardMinSamples = sharded ? 64 : 0;
   o.maxSamplesPerVertex = std::numeric_limits<std::int64_t>::max() / 2;
   o.telemetry = &spine;
   core::SamplingContext ctx(objective, o);
@@ -170,11 +170,26 @@ SpecRow runSpeculationArm(bool speculate) {
           static_cast<long long>(run.optimization.iterations)};
 }
 
+/// Strip `--reps N` from the positional arguments (default 5).
+int extractReps(std::vector<std::string>& args) {
+  int reps = 5;
+  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
+    if (args[i] == "--reps") {
+      reps = std::max(std::atoi(args[i + 1].c_str()), 1);
+      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
+                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
+      break;
+    }
+  }
+  return reps;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   const std::string jsonPath = bench::extractJsonPath(args);
+  const int reps = extractReps(args);
   std::vector<int> workerCounts{1, 2, 4};
   if (!args.empty()) {
     workerCounts.clear();
@@ -183,21 +198,31 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report;
   report.bench = "pipeline_scaling";
-  report.repetitions = 1;
+  report.repetitions = reps;
 
   bench::printHeader("Pipeline scaling - sharding one dominant refine across workers");
-  std::printf("\n%-8s %-10s %-10s %-12s %-14s %-10s\n", "workers", "sharded", "wall(s)",
+  std::printf("\nmedian (interquartile range) of %d repetitions per row\n", reps);
+  std::printf("\n%-8s %-10s %-20s %-20s %-14s %-10s\n", "workers", "sharded", "wall(s)",
               "idle frac", "shards/batch", "samples");
   for (int w : workerCounts) {
     for (const bool sharded : {false, true}) {
-      const auto row = runShardArm(w, sharded);
-      std::printf("%-8d %-10s %-10.3f %-12.3f %-14.2f %-10lld\n", row.workers,
-                  row.sharded ? "yes" : "no", row.wallSeconds, row.idleFraction,
-                  row.shardsPerBatch, row.samples);
+      std::vector<double> wall;
+      std::vector<double> idle;
+      ShardRow row{};
+      for (int r = 0; r < reps; ++r) {
+        row = runShardArm(w, sharded);
+        wall.push_back(row.wallSeconds);
+        idle.push_back(row.idleFraction);
+      }
+      const auto wallStat = bench::medianSpread(wall);
+      const auto idleStat = bench::medianSpread(idle);
+      std::printf("%-8d %-10s %-8.3f (%-8.3f)   %-8.3f (%-8.3f)   %-14.2f %-10lld\n",
+                  row.workers, row.sharded ? "yes" : "no", wallStat.median, wallStat.iqr,
+                  idleStat.median, idleStat.iqr, row.shardsPerBatch, row.samples);
       const std::string prefix = "pipeline.shard.W" + std::to_string(row.workers) +
                                  (row.sharded ? ".sharded" : ".unsharded");
-      report.add(prefix + ".wall_seconds", row.wallSeconds, "s");
-      report.add(prefix + ".idle_fraction", row.idleFraction, "fraction");
+      report.addMedian(prefix + ".wall_seconds", wall, "s");
+      report.addMedian(prefix + ".idle_fraction", idle, "fraction");
     }
   }
   std::printf(
@@ -211,17 +236,26 @@ int main(int argc, char** argv) {
       "are bitwise identical either way (canonical chunk merge).\n");
 
   bench::printHeader("Speculative prefetch - PC decide/evaluate overlap (4 workers)");
-  std::printf("\n%-10s %-10s %-10s %-8s %-8s %-18s %-8s\n", "speculate", "wall(s)",
+  std::printf("\n%-10s %-20s %-10s %-8s %-8s %-18s %-8s\n", "speculate", "wall(s)",
               "hit rate", "hits", "misses", "rounds/comparison", "steps");
   for (const bool speculate : {false, true}) {
-    const auto row = runSpeculationArm(speculate);
-    std::printf("%-10s %-10.3f %-10.2f %-8lld %-8lld %-18.2f %-8lld\n",
-                row.speculate ? "on" : "off", row.wallSeconds, row.hitRate, row.hits,
-                row.misses, row.roundsPerComparison, row.steps);
+    std::vector<double> wall;
+    std::vector<double> hitRate;
+    SpecRow row{};
+    for (int r = 0; r < reps; ++r) {
+      row = runSpeculationArm(speculate);
+      wall.push_back(row.wallSeconds);
+      hitRate.push_back(row.hitRate);
+    }
+    const auto wallStat = bench::medianSpread(wall);
+    std::printf("%-10s %-8.3f (%-8.3f)   %-10.2f %-8lld %-8lld %-18.2f %-8lld\n",
+                row.speculate ? "on" : "off", wallStat.median, wallStat.iqr,
+                bench::medianSpread(hitRate).median, row.hits, row.misses,
+                row.roundsPerComparison, row.steps);
     const std::string prefix =
         std::string("pipeline.speculate.") + (row.speculate ? "on" : "off");
-    report.add(prefix + ".wall_seconds", row.wallSeconds, "s");
-    report.add(prefix + ".hit_rate", row.hitRate, "fraction");
+    report.addMedian(prefix + ".wall_seconds", wall, "s");
+    report.addMedian(prefix + ".hit_rate", hitRate, "fraction");
   }
   std::printf(
       "\nShape check: speculation pre-stages the next PC round's resample while\n"

@@ -11,7 +11,7 @@
 
 namespace sfopt::core {
 
-EvalScheduler::EvalScheduler(AsyncSamplingBackend& backend, Options options)
+EvalScheduler::EvalScheduler(SamplingBackend& backend, Options options)
     : backend_(backend), options_(options) {
   if (options_.shardMinSamples < 0) {
     throw std::invalid_argument("EvalScheduler: shardMinSamples must be >= 0");
@@ -78,7 +78,7 @@ int EvalScheduler::submitSharded(const SamplingBackend::BatchRequest& request,
   return static_cast<int>(shards);
 }
 
-void EvalScheduler::routeCompletion(const AsyncSamplingBackend::Completion& completion) {
+void EvalScheduler::routeCompletion(const SamplingBackend::Completion& completion) {
   // Terminal trace markers for the shard span tree: every ticket the
   // backend completed ends life here as folded into its batch entry or
   // discarded (evicted / stale generation).  Zero-duration spans keyed by
@@ -138,7 +138,8 @@ void EvalScheduler::collect(const std::vector<BatchKey>& needed) {
   // The deadline bounds *silence*, not total runtime: every completion
   // pushes it out, so a long evaluation making steady progress never
   // trips it.
-  const auto window = std::chrono::duration<double>(options_.timeoutSeconds);
+  const double silence = backend_.silenceTimeoutSeconds();
+  const auto window = std::chrono::duration<double>(silence);
   auto deadline = std::chrono::steady_clock::now() + window;
   while (!allDone()) {
     const double remaining = std::chrono::duration<double>(
@@ -146,7 +147,7 @@ void EvalScheduler::collect(const std::vector<BatchKey>& needed) {
                                  .count();
     if (remaining <= 0.0) {
       throw std::runtime_error(
-          "EvalScheduler: backend silent for " + std::to_string(options_.timeoutSeconds) +
+          "EvalScheduler: backend silent for " + std::to_string(silence) +
           "s with results outstanding");
     }
     const auto completions = backend_.poll(remaining);

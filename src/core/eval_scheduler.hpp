@@ -19,10 +19,12 @@ class Histogram;
 
 namespace sfopt::core {
 
-/// Turns refinement batches into shardable sub-batch tickets over an
-/// AsyncSamplingBackend and merges the completed shards back in canonical
+/// Turns refinement batches into shardable sub-batch tickets over a
+/// SamplingBackend and merges the completed shards back in canonical
 /// order, so the evaluation fabric can be kept busy without perturbing a
 /// single bit of the optimization trajectory.
+/// It is the only way a backend is sampled: with both mechanisms below off
+/// every batch is one ticket, folded exactly like a sharded one.
 ///
 /// Two independent mechanisms, both optional:
 ///
@@ -63,16 +65,13 @@ class EvalScheduler {
     /// Cap on staged (completed or in-flight) speculative batches;
     /// 0 = same resolved value as maxOutstandingShards.
     int maxStagedEntries = 0;
-    /// Give up when the backend stays silent this long with results
-    /// outstanding (backstop; the MW driver detects dead workers first).
-    double timeoutSeconds = 300.0;
     /// Observability spine (non-owning).  Registers eval.shards_per_batch,
     /// eval.speculation_hits / _misses and the eval.speculation_hit_rate
     /// gauge.  nullptr = uninstrumented.
     telemetry::Telemetry* telemetry = nullptr;
   };
 
-  EvalScheduler(AsyncSamplingBackend& backend, Options options);
+  EvalScheduler(SamplingBackend& backend, Options options);
 
   /// Evaluate `requests` (blocking) and return one merged accumulator per
   /// request, in request order.  Zero-count requests yield an empty
@@ -133,10 +132,11 @@ class EvalScheduler {
   /// each ticket back to `key`'s chunk slots.  Returns the shard count.
   int submitSharded(const SamplingBackend::BatchRequest& request, const BatchKey& key);
 
-  /// Block until every entry in `needed` is complete (or time out).
+  /// Block until every entry in `needed` is complete.  Throws when the
+  /// backend stays silent past its silenceTimeoutSeconds().
   void collect(const std::vector<BatchKey>& needed);
 
-  void routeCompletion(const AsyncSamplingBackend::Completion& completion);
+  void routeCompletion(const SamplingBackend::Completion& completion);
 
   /// Drop staged entries that can no longer match (same vertex, start
   /// index already consumed past) and enforce the staging cap.
@@ -147,7 +147,7 @@ class EvalScheduler {
   [[nodiscard]] int resolvedOutstandingCap() const;
   [[nodiscard]] int resolvedStagingCap() const;
 
-  AsyncSamplingBackend& backend_;
+  SamplingBackend& backend_;
   Options options_;
 
   std::map<BatchKey, Entry> entries_;

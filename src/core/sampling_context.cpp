@@ -16,19 +16,13 @@ SamplingContext::SamplingContext(const noise::StochasticObjective& objective, Op
   if (options_.shardMinSamples < 0) {
     throw std::invalid_argument("SamplingContext: shardMinSamples must be >= 0");
   }
-  // The pipeline engages only when the backend can run asynchronously and
-  // the caller asked for sharding or speculation; the plain blocking path
-  // stays byte-for-byte what it always was otherwise.
-  if (options_.backend != nullptr &&
-      (options_.shardMinSamples > 0 || options_.speculate)) {
-    if (AsyncSamplingBackend* async = options_.backend->async()) {
-      EvalScheduler::Options sched;
-      sched.shardMinSamples = options_.shardMinSamples;
-      sched.speculate = options_.speculate;
-      sched.maxOutstandingShards = options_.maxOutstandingShards;
-      sched.telemetry = options_.telemetry;
-      scheduler_ = std::make_unique<EvalScheduler>(*async, sched);
-    }
+  if (options_.backend != nullptr) {
+    EvalScheduler::Options sched;
+    sched.shardMinSamples = options_.shardMinSamples;
+    sched.speculate = options_.speculate;
+    sched.maxOutstandingShards = options_.maxOutstandingShards;
+    sched.telemetry = options_.telemetry;
+    scheduler_ = std::make_unique<EvalScheduler>(*options_.backend, sched);
   }
 }
 
@@ -52,8 +46,6 @@ std::int64_t SamplingContext::refine(Vertex& v, std::int64_t extra) {
                                           static_cast<std::uint64_t>(v.sampleCount()), take};
   if (scheduler_ != nullptr) {
     v.absorb(scheduler_->evaluate({&req, 1}).front());
-  } else if (options_.backend != nullptr) {
-    v.absorb(options_.backend->sampleBatch(req));
   } else {
     for (std::int64_t i = 0; i < take; ++i) {
       const noise::SampleKey key{v.id(), static_cast<std::uint64_t>(v.sampleCount())};
@@ -98,7 +90,7 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests,
   const std::vector<CoalescedRequest> coal = coalesce(requests);
   std::int64_t maxTaken = 0;
 
-  if (options_.backend != nullptr) {
+  if (scheduler_ != nullptr) {
     // Dispatch the whole batch so the backend can run it concurrently
     // (this models the d+3 workers sampling their vertices at once).
     // Capped vertices (take == 0) never leave the master: a zero-count
@@ -114,13 +106,12 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests,
                        coal[i].take});
       batchSlot.push_back(i);
     }
-    std::vector<stats::Welford> results;
-    if (scheduler_ != nullptr) {
+    std::vector<SamplingBackend::BatchRequest> hintBatch;
+    if (options_.speculate) {
       // Predict each hinted vertex's future start index: its current count
       // plus whatever this round is about to take at it.
       std::unordered_map<const Vertex*, std::int64_t> currentTake;
       for (const CoalescedRequest& c : coal) currentTake.emplace(c.vertex, c.take);
-      std::vector<SamplingBackend::BatchRequest> hintBatch;
       std::unordered_map<const Vertex*, std::int64_t> hintSum;
       std::vector<Vertex*> hintOrder;
       for (const RefineRequest& h : nextRoundHint) {
@@ -143,10 +134,8 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests,
         if (take == 0) continue;
         hintBatch.push_back({v->point(), v->id(), static_cast<std::uint64_t>(future), take});
       }
-      results = scheduler_->evaluate(batch, hintBatch);
-    } else {
-      results = options_.backend->sampleBatches(batch);
     }
+    const std::vector<stats::Welford> results = scheduler_->evaluate(batch, hintBatch);
     for (std::size_t b = 0; b < batch.size(); ++b) {
       const std::size_t i = batchSlot[b];
       coal[i].vertex->absorb(results[b]);

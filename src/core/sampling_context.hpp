@@ -40,16 +40,16 @@ class SamplingContext {
     /// "coincidentally nearly identical vertices" hazard, section 2.3).
     std::int64_t maxSamplesPerVertex = 1'000'000;
     /// Optional sampling backend (non-owning; must outlive the context).
-    /// nullptr computes samples inline.
+    /// nullptr computes samples inline; otherwise every batch goes through
+    /// an EvalScheduler over it.
     SamplingBackend* backend = nullptr;
     /// First vertex id handed out.  Distinct contexts over the same
     /// objective should use disjoint id ranges so their noise streams stay
     /// independent (ids key the counter-based RNG).
     std::uint64_t firstVertexId = 0;
     /// Shard a backend batch across workers once it exceeds this many
-    /// samples (0 = never shard).  Requires a backend with an async()
-    /// interface; ignored otherwise.  Results are bitwise identical to the
-    /// unsharded backend path (canonical chunk merge).
+    /// samples (0 = never shard; ignored without a backend).  Results are
+    /// bitwise identical to the unsharded path (canonical chunk merge).
     std::int64_t shardMinSamples = 0;
     /// Submit the next round's predicted refinement while the current one
     /// is in flight (see EvalScheduler).  Speculative samples are staged
@@ -135,10 +135,6 @@ class SamplingContext {
     return v.sampleCount() >= options_.maxSamplesPerVertex;
   }
 
-  /// The pipeline scheduler, when one is active (backend with an async()
-  /// interface plus sharding or speculation requested); nullptr otherwise.
-  [[nodiscard]] const EvalScheduler* scheduler() const noexcept { return scheduler_.get(); }
-
  private:
   /// Duplicate-free view of a request batch: first-occurrence order, one
   /// entry per vertex with the summed sample count and the take actually
@@ -155,6 +151,7 @@ class SamplingContext {
   noise::VirtualClock clock_;
   std::int64_t totalSamples_ = 0;
   std::uint64_t nextVertexId_;
+  /// Present exactly when options_.backend is set.
   std::unique_ptr<EvalScheduler> scheduler_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,33 +36,21 @@ class MWDriver {
  public:
   explicit MWDriver(net::Transport& comm);
 
-  /// Execute a batch of already-marshaled task inputs; returns the result
-  /// buffers in task order.  Blocks until every task completes.  Throws
-  /// when a task exhausts its retry budget, when every worker is lost, or
-  /// when no message arrives within the receive timeout.
-  [[nodiscard]] std::vector<MessageBuffer> executeBuffers(std::vector<MessageBuffer> inputs);
-
-  /// Typed convenience: marshal each task's input, execute the batch, and
-  /// unmarshal each result back into the same task objects.
-  void executeTasks(std::span<MWTask* const> tasks);
-
-  /// One finished non-blocking task: the id submit() returned and the
-  /// worker's result payload.
-  struct AsyncCompletion {
+  /// One finished task: the id submit() returned and the worker's result
+  /// payload.
+  struct Completion {
     std::uint64_t id = 0;
     MessageBuffer payload;
   };
 
-  /// Non-blocking pipeline API, alongside executeBuffers: submit() enqueues
-  /// one task (dispatching it immediately when a worker is free) and
-  /// returns its id; poll() waits up to `timeoutSeconds` for at least one
-  /// completion (0 = drain only) and returns everything finished so far;
-  /// drain() blocks until nothing is outstanding.  Completions arrive in
-  /// completion order, not submit order.  Worker failure and loss follow
-  /// the same retry/requeue protocol as executeBuffers, so a shard whose
-  /// worker dies is re-dispatched transparently.  Do not interleave
-  /// executeBuffers with async tasks outstanding — both read the same
-  /// mailbox and would steal each other's messages.
+  /// Non-blocking dispatch: submit() enqueues one task (dispatching it
+  /// immediately when a worker is free) and returns its id; poll() waits
+  /// up to `timeoutSeconds` for at least one completion (0 = drain only)
+  /// and returns everything finished so far; drain() blocks until nothing
+  /// is outstanding.  Completions arrive in completion order, not submit
+  /// order.  A task whose worker fails or is lost is re-dispatched
+  /// transparently; poll() and drain() throw when a task exhausts its
+  /// retry budget or every worker is lost.
   ///
   /// `trace`, when nonzero, is used verbatim as the distributed trace id
   /// stamped on the task's spans and wire messages (0 keeps the legacy
@@ -74,11 +61,12 @@ class MWDriver {
   /// ticket's whole retry history stays in its job's namespace.  Callers
   /// supplying traces are responsible for their uniqueness.
   [[nodiscard]] std::uint64_t submit(MessageBuffer input, std::uint64_t trace = 0);
-  [[nodiscard]] std::vector<AsyncCompletion> poll(double timeoutSeconds);
-  [[nodiscard]] std::vector<AsyncCompletion> drain();
+  [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds);
+  /// Throws when no worker message arrives within the receive timeout.
+  [[nodiscard]] std::vector<Completion> drain();
 
-  /// Async tasks submitted but not yet completed (pending + in flight).
-  [[nodiscard]] std::size_t outstanding() const noexcept { return asyncTasks_.size(); }
+  /// Tasks submitted but not yet completed (pending + in flight).
+  [[nodiscard]] std::size_t outstanding() const noexcept { return tasks_.size(); }
 
   /// Send a shutdown message to every live worker.  Idempotent.
   void shutdown();
@@ -96,18 +84,19 @@ class MWDriver {
   /// Workers declared lost (disconnect / heartbeat silence).
   [[nodiscard]] std::uint64_t workersLost() const noexcept { return workersLost_; }
 
-  /// Per-task retry budget before executeBuffers gives up and throws.
+  /// Per-task retry budget before poll() gives up and throws.
   void setMaxRetries(int retries) { maxRetries_ = retries; }
   [[nodiscard]] int maxRetries() const noexcept { return maxRetries_; }
 
-  /// Longest silence executeBuffers tolerates while tasks are in flight
-  /// before concluding the run is wedged and throwing.  Generous default:
-  /// transports already convert dead workers into kTagWorkerLost well
-  /// before this fires; it is the backstop, not the detector.
+  /// Longest silence tolerated while tasks are in flight before the run
+  /// is declared wedged: drain() throws past it, and MWSamplingBackend
+  /// hands it to the EvalScheduler as its silence window.  Generous
+  /// default: transports already convert dead workers into kTagWorkerLost
+  /// well before this fires; it is the backstop, not the detector.
   void setRecvTimeout(double seconds) { recvTimeoutSeconds_ = seconds; }
   [[nodiscard]] double recvTimeout() const noexcept { return recvTimeoutSeconds_; }
 
-  /// Straggler mitigation on the async path: once a dispatched task has
+  /// Straggler mitigation: once a dispatched task has
   /// been out longer than `factor` times the EWMA of observed execute
   /// times, duplicate-dispatch it to an idle live worker.  First
   /// completion wins; the loser's late result is discarded against the
@@ -138,8 +127,7 @@ class MWDriver {
 
   /// Attach the observability spine (non-owning; must outlive the driver).
   /// Pre-registers the task-lifecycle metrics — queue-wait and execute
-  /// histograms, per-worker utilization, completion/requeue counters — and
-  /// emits one `mw.batch` span per executeBuffers call.
+  /// histograms, the worker idle fraction, completion/requeue counters.
   ///
   /// With a spine attached every task additionally becomes a span tree
   /// keyed by its task id as the distributed trace id: one
@@ -152,12 +140,11 @@ class MWDriver {
 
  private:
   [[nodiscard]] bool isDead(Rank w) const noexcept;
-  void ensureRank(Rank w);
   [[nodiscard]] double telNow() const;
 
-  /// Non-blocking path internals: per-task state mirrors executeBuffers'
-  /// local TaskState, but persists across calls so tasks overlap rounds.
-  struct AsyncTask {
+  /// Per-task state, kept until the task completes so a failed attempt
+  /// can be requeued.
+  struct Task {
     std::vector<std::byte> wire;  ///< framed input, kept for requeue
     int retries = 0;
     Rank lastFailedOn = -1;
@@ -170,11 +157,10 @@ class MWDriver {
     std::uint64_t remoteSpan = 0;  ///< open shard.remote span while dispatched
     std::uint64_t trace = 0;       ///< trace id: caller-supplied, or task id
   };
-  void asyncGrowTo(int worldSize);
-  void asyncDispatch();
-  void asyncRequeue(Rank worker, std::uint64_t id, const std::string& why,
-                    const char* outcome);
-  void handleAsyncMessage(Message msg);
+  void growTo(int worldSize);
+  void dispatch();
+  void requeue(Rank worker, std::uint64_t id, const std::string& why, const char* outcome);
+  void handleMessage(Message msg);
   void observeIdleFraction();
   void maybeSpeculate();
   /// Ranks currently holding `id` (1 normally, 2 while a duplicate is out).
@@ -191,25 +177,26 @@ class MWDriver {
   int maxRetries_ = 3;
   double recvTimeoutSeconds_ = 300.0;
   bool shutDown_ = false;
-  std::vector<bool> dead_;  ///< indexed by rank; persists across batches
-
-  std::unordered_map<std::uint64_t, AsyncTask> asyncTasks_;
-  std::deque<std::uint64_t> asyncPending_;
-  std::vector<bool> asyncBusy_;
-  std::vector<std::uint64_t> asyncInFlightId_;
+  /// Per-rank dispatch state, indexed by rank; the world only ever grows.
+  std::vector<bool> dead_;
+  std::vector<bool> busy_;
+  std::vector<std::uint64_t> inFlightId_;
   /// Per-rank id of a speculated task that already completed elsewhere:
   /// the rank stays busy until its late (discarded) report frees it.
-  std::vector<std::uint64_t> asyncGhostId_;
-  int asyncInFlight_ = 0;
+  std::vector<std::uint64_t> ghostId_;
+
+  std::unordered_map<std::uint64_t, Task> tasks_;
+  std::deque<std::uint64_t> pending_;
+  int inFlight_ = 0;
   double speculativeFactor_ = 0.0;
   double executeEwma_ = 0.0;  ///< steady-clock EWMA of execute seconds
   std::uint64_t speculativeDuplicates_ = 0;
   std::uint64_t speculativeDiscards_ = 0;
   std::uint64_t staleResultsDiscarded_ = 0;
-  std::vector<AsyncCompletion> asyncReady_;
-  /// Every worker message handled on the async path, completions or not;
-  /// drain() uses it to tell "backend silent" from "recovery in progress".
-  std::uint64_t asyncMessagesHandled_ = 0;
+  std::vector<Completion> ready_;
+  /// Every worker message handled, completions or not; drain() uses it to
+  /// tell "backend silent" from "recovery in progress".
+  std::uint64_t messagesHandled_ = 0;
 
   /// Pre-registered handles; all non-null exactly when telemetry_ is set.
   telemetry::Telemetry* telemetry_ = nullptr;
@@ -217,13 +204,11 @@ class MWDriver {
   telemetry::Counter* telTasksRequeued_ = nullptr;
   telemetry::Counter* telTasksDispatched_ = nullptr;
   telemetry::Counter* telWorkersLost_ = nullptr;
-  telemetry::Counter* telBatches_ = nullptr;
   telemetry::Counter* telSpecDuplicates_ = nullptr;
   telemetry::Counter* telSpecDiscards_ = nullptr;
   telemetry::Counter* telStaleDiscards_ = nullptr;
   telemetry::Histogram* telQueueWait_ = nullptr;
   telemetry::Histogram* telExecute_ = nullptr;
-  telemetry::Histogram* telUtilization_ = nullptr;
   telemetry::Histogram* telIdleFraction_ = nullptr;
 };
 

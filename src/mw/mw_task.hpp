@@ -1,12 +1,10 @@
 #pragma once
 
-#include <cstdint>
-
-#include "mw/message_buffer.hpp"
-
 namespace sfopt::mw {
 
-/// Message tags of the MW protocol.
+/// Message tags of the MW protocol.  A task's wire form is its id
+/// followed by the caller's marshaled input (see SamplingTask); results and
+/// error reports echo the id first.
 inline constexpr int kTagTask = 1;
 inline constexpr int kTagResult = 2;
 inline constexpr int kTagShutdown = 3;
@@ -19,29 +17,5 @@ inline constexpr int kTagError = 4;
 /// before any tasks flow — used by the distributed runtime as the transport
 /// greeting so a worker that (re)joins mid-run still learns the objective.
 inline constexpr int kTagConfig = 5;
-
-/// Re-implementation of the MW framework's MWTask abstraction: "the data
-/// describing the task and the results computed by the workers ... the
-/// abstraction of one unit of work".  Concrete tasks marshal their input
-/// on the master, unmarshal it on the worker, and vice versa for results.
-class MWTask {
- public:
-  virtual ~MWTask() = default;
-
-  /// Marshal the work description (master side).
-  virtual void packInput(MessageBuffer& buf) const = 0;
-  /// Unmarshal the work description (worker side).
-  virtual void unpackInput(MessageBuffer& buf) = 0;
-  /// Marshal the computed result (worker side).
-  virtual void packResult(MessageBuffer& buf) const = 0;
-  /// Unmarshal the computed result (master side).
-  virtual void unpackResult(MessageBuffer& buf) = 0;
-
-  [[nodiscard]] std::uint64_t taskId() const noexcept { return taskId_; }
-  void setTaskId(std::uint64_t id) noexcept { taskId_ = id; }
-
- private:
-  std::uint64_t taskId_ = 0;
-};
 
 }  // namespace sfopt::mw

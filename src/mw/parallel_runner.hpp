@@ -29,8 +29,9 @@ struct MWRunConfig {
   /// (non-owning; must outlive the run).  Engine-layer instrumentation is
   /// configured separately via the algorithm's CommonOptions.
   telemetry::Telemetry* telemetry = nullptr;
-  /// Backstop for a wedged run: longest silence the driver tolerates while
-  /// tasks are in flight (see MWDriver::setRecvTimeout).
+  /// Backstop for a wedged run: longest stretch without a completion the
+  /// run tolerates while samples are outstanding (see
+  /// MWDriver::setRecvTimeout); the EvalScheduler enforces it.
   double recvTimeoutSeconds = 300.0;
 };
 

@@ -158,7 +158,6 @@ void OptimizationService::ensureDriver() {
   if (comm_.size() < 2 || comm_.liveWorkers() < 1) return;
   driver_ = std::make_unique<mw::MWDriver>(comm_);
   driver_->setTelemetry(opts_.telemetry);
-  driver_->setRecvTimeout(opts_.recvTimeoutSeconds);
   driver_->setSpeculativeFactor(opts_.speculativeFactor);
   logLine("fleet:    driver up with " + std::to_string(driver_->liveWorkerCount()) +
           " live worker(s)");
@@ -463,7 +462,7 @@ void OptimizationService::progress() {
     // Wait in pump(), not in driver_->poll(timeout): a job thread's wake
     // ends pump() but never a driver receive, so a shard queued while a
     // neighbour's shard is on the wire is drained at once.
-    std::vector<mw::MWDriver::AsyncCompletion> done;
+    std::vector<mw::MWDriver::Completion> done;
     try {
       done = driver_->poll(0.0);
       if (done.empty()) {
@@ -565,7 +564,7 @@ void OptimizationService::jobMain(std::uint64_t id, JobSpec spec,
   f.id = id;
   try {
     const noise::NoisyFunction objective = spec.objective.makeObjective();
-    ExchangeBackend backend(exchange_, id, spec.objective);
+    ExchangeBackend backend(exchange_, id, spec.objective, opts_.recvTimeoutSeconds);
     mw::AlgorithmOptions options = spec.makeOptions();
     std::visit(
         [&](auto& o) {

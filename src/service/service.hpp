@@ -40,6 +40,8 @@ struct ServiceOptions {
   /// Exit once this many jobs reached a terminal state (0 = serve until
   /// stopped).  CI smoke runs use it for a bounded daemon lifetime.
   std::int64_t maxJobs = 0;
+  /// Silence backstop: a running job whose shards see no completion for
+  /// this long fails as wedged (each job's EvalScheduler waits on it).
   double recvTimeoutSeconds = 300.0;
   /// Durability: when non-empty, every job-table transition is journaled
   /// under this directory and running jobs snapshot their optimizer state

@@ -57,10 +57,7 @@ class TicketExchange {
   explicit TicketExchange(std::function<void()> onSubmit = {})
       : onSubmit_(std::move(onSubmit)) {}
 
-  struct Completion {
-    std::uint64_t ticket = 0;
-    std::vector<stats::Welford> chunks;
-  };
+  using Completion = core::SamplingBackend::Completion;
 
   struct PendingShard {
     std::uint64_t jobId = 0;
@@ -133,31 +130,28 @@ class TicketExchange {
 /// on the job's engine thread; one instance per job.
 class ExchangeBackend final : public core::SamplingBackend {
  public:
-  ExchangeBackend(TicketExchange& exchange, std::uint64_t jobId, ObjectiveSpec spec)
-      : exchange_(exchange), jobId_(jobId), spec_(std::move(spec)), async_(*this) {}
+  /// `silenceTimeoutSeconds` is the daemon's ServiceOptions::
+  /// recvTimeoutSeconds: how long the job waits without a completion
+  /// before it fails as wedged.
+  ExchangeBackend(TicketExchange& exchange, std::uint64_t jobId, ObjectiveSpec spec,
+                  double silenceTimeoutSeconds)
+      : exchange_(exchange),
+        jobId_(jobId),
+        spec_(std::move(spec)),
+        silenceTimeoutSeconds_(silenceTimeoutSeconds) {}
 
-  [[nodiscard]] stats::Welford sampleBatch(const BatchRequest& request) override;
-  [[nodiscard]] std::vector<stats::Welford> sampleBatches(
-      std::span<const BatchRequest> requests) override;
-  [[nodiscard]] core::AsyncSamplingBackend* async() override { return &async_; }
+  [[nodiscard]] std::uint64_t submit(const BatchRequest& request) override;
+  [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds) override;
+  [[nodiscard]] int parallelism() const override;
+  [[nodiscard]] double silenceTimeoutSeconds() const override {
+    return silenceTimeoutSeconds_;
+  }
 
  private:
-  class Async final : public core::AsyncSamplingBackend {
-   public:
-    explicit Async(ExchangeBackend& owner) : owner_(owner) {}
-    [[nodiscard]] std::uint64_t submit(
-        const core::SamplingBackend::BatchRequest& request) override;
-    [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds) override;
-    [[nodiscard]] int parallelism() const override;
-
-   private:
-    ExchangeBackend& owner_;
-  };
-
   TicketExchange& exchange_;
   std::uint64_t jobId_;
   ObjectiveSpec spec_;
-  Async async_;
+  double silenceTimeoutSeconds_;
 };
 
 }  // namespace sfopt::service

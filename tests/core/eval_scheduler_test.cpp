@@ -16,7 +16,6 @@
 namespace {
 
 using namespace sfopt;
-using core::AsyncSamplingBackend;
 using core::EvalScheduler;
 using core::SamplingBackend;
 
@@ -50,7 +49,7 @@ std::vector<stats::Welford> chunksFor(std::uint64_t vertexId, std::uint64_t star
 /// Fake evaluation fabric: records every submitted shard, computes its
 /// chunks eagerly, and delivers completions newest-first — the worst case
 /// for any merge that depends on completion order.
-class FakeAsyncBackend final : public AsyncSamplingBackend {
+class FakeAsyncBackend final : public SamplingBackend {
  public:
   explicit FakeAsyncBackend(int parallelism) : parallelism_(parallelism) {}
 
@@ -91,11 +90,13 @@ class FakeAsyncBackend final : public AsyncSamplingBackend {
   }
 
   [[nodiscard]] int parallelism() const override { return parallelism_; }
+  [[nodiscard]] double silenceTimeoutSeconds() const override { return silenceSeconds; }
 
   std::vector<Recorded> recorded;
   std::size_t perPoll = 0;      ///< completions per poll; 0 = all at once
   bool holdCompletions = false; ///< simulate a silent fabric
   double pollDelaySeconds = 0.0;  ///< simulate a slow fabric
+  double silenceSeconds = 300.0;  ///< the scheduler's silence window
   /// When non-empty, deliver exactly these tickets in this order (ahead
   /// of the default newest-first drain) — for staleness interleavings.
   std::deque<std::uint64_t> forcedOrder;
@@ -294,12 +295,13 @@ TEST(EvalScheduler, StaleTicketFromEvictedEntryCannotCorruptRecreatedEntry) {
 
 TEST(EvalScheduler, CollectTimeoutBoundsSilenceNotTotalRuntime) {
   // Four shards trickle in 60ms apart: total wall time (~240ms) exceeds
-  // timeoutSeconds, but the backend is never silent longer than one gap,
-  // so the evaluation must complete rather than throw.
+  // the silence window, but the backend is never silent longer than one
+  // gap, so the evaluation must complete rather than throw.
   FakeAsyncBackend backend(4);
   backend.perPoll = 1;
   backend.pollDelaySeconds = 0.06;
-  EvalScheduler sched(backend, {.shardMinSamples = 64, .timeoutSeconds = 0.15});
+  backend.silenceSeconds = 0.15;
+  EvalScheduler sched(backend, {.shardMinSamples = 64});
   const SamplingBackend::BatchRequest req{{}, 1, 0, 640};  // 10 chunks, 4 shards
   const auto results = sched.evaluate({&req, 1});
   ASSERT_EQ(backend.recorded.size(), 4u);
@@ -327,7 +329,8 @@ TEST(EvalScheduler, SpeculativeHintCountsItsShardsAgainstTheCap) {
 TEST(EvalScheduler, TimesOutWhenBackendGoesSilent) {
   FakeAsyncBackend backend(2);
   backend.holdCompletions = true;
-  EvalScheduler sched(backend, {.timeoutSeconds = 0.05});
+  backend.silenceSeconds = 0.05;
+  EvalScheduler sched(backend, {});
   const SamplingBackend::BatchRequest req{{}, 1, 0, 64};
   EXPECT_THROW((void)sched.evaluate({&req, 1}), std::runtime_error);
 }

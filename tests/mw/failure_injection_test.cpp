@@ -5,30 +5,32 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "mw/mw_driver.hpp"
-#include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
 
 namespace {
 
 using namespace sfopt::mw;
 
-class EchoTask final : public MWTask {
- public:
-  EchoTask() = default;
-  explicit EchoTask(std::int64_t v) : value_(v) {}
-  void packInput(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackInput(MessageBuffer& b) override { value_ = b.unpackInt64(); }
-  void packResult(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackResult(MessageBuffer& b) override { result_ = b.unpackInt64(); }
-  std::int64_t value_ = 0;
-  std::int64_t result_ = -1;
-};
+/// Submit values first..first+count-1 and drain; returns each task's echoed
+/// result in submit order.
+std::vector<std::int64_t> echoAll(MWDriver& driver, std::int64_t first, std::int64_t count) {
+  std::map<std::uint64_t, std::size_t> slotOf;
+  for (std::int64_t i = 0; i < count; ++i) {
+    MessageBuffer b;
+    b.pack(first + i);
+    slotOf[driver.submit(std::move(b))] = static_cast<std::size_t>(i);
+  }
+  std::vector<std::int64_t> out(static_cast<std::size_t>(count), -1);
+  for (auto& c : driver.drain()) out[slotOf.at(c.id)] = c.payload.unpackInt64();
+  return out;
+}
 
 /// Fails the first `failures` tasks it sees, then behaves.
 class FlakyWorker final : public MWWorker {
@@ -38,12 +40,11 @@ class FlakyWorker final : public MWWorker {
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override {
-    EchoTask t;
-    t.unpackInput(in);
+    const std::int64_t v = in.unpackInt64();
     if (remainingFailures_-- > 0) {
       throw std::runtime_error("injected failure");
     }
-    t.packResult(out);
+    out.pack(v);
   }
 
  private:
@@ -61,13 +62,13 @@ class BrokenWorker final : public MWWorker {
   }
 };
 
+/// Every worker is constructed before any thread starts, so no running
+/// thread reads `objs` while it grows.
 template <typename W, typename... Args>
 struct Pool {
   Pool(CommWorld& comm, int workers, Args... args) {
-    for (int w = 0; w < workers; ++w) {
-      objs.push_back(std::make_unique<W>(comm, w + 1, args...));
-      threads.emplace_back([this, w] { objs[static_cast<std::size_t>(w)]->run(); });
-    }
+    for (int w = 0; w < workers; ++w) objs.push_back(std::make_unique<W>(comm, w + 1, args...));
+    for (auto& obj : objs) threads.emplace_back([&worker = *obj] { worker.run(); });
   }
   ~Pool() {
     for (auto& t : threads) t.join();
@@ -80,13 +81,9 @@ TEST(FailureInjection, FlakyWorkerTasksAreRequeuedAndComplete) {
   CommWorld comm(3);
   Pool<FlakyWorker, int> pool(comm, 2, 2);  // each worker fails its first 2 tasks
   MWDriver driver(comm);
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < 12; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const auto results = echoAll(driver, 0, 12);
   for (std::int64_t i = 0; i < 12; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i);
+    EXPECT_EQ(results[static_cast<std::size_t>(i)], i);
   }
   EXPECT_GT(driver.tasksRequeued(), 0u);
   EXPECT_EQ(driver.tasksCompleted(), 12u);
@@ -99,10 +96,7 @@ TEST(FailureInjection, WorkerStaysUpAfterFailure) {
   MWDriver driver(comm);
   // With only one worker the driver must eventually hand the task back to
   // the same (previously failing) worker rather than deadlock.
-  EchoTask t(42);
-  MWTask* p = &t;
-  driver.executeTasks({&p, 1});
-  EXPECT_EQ(t.result_, 42);
+  EXPECT_EQ(echoAll(driver, 42, 1).front(), 42);
   EXPECT_EQ(pool.objs[0]->tasksFailed(), 1u);
   EXPECT_EQ(pool.objs[0]->tasksExecuted(), 1u);
   driver.shutdown();
@@ -113,9 +107,7 @@ TEST(FailureInjection, PermanentFailureSurfacesAfterRetries) {
   Pool<BrokenWorker> pool(comm, 2);
   MWDriver driver(comm);
   driver.setMaxRetries(2);
-  EchoTask t(1);
-  MWTask* p = &t;
-  EXPECT_THROW(driver.executeTasks({&p, 1}), std::runtime_error);
+  EXPECT_THROW((void)echoAll(driver, 1, 1), std::runtime_error);
   driver.shutdown();
 }
 
@@ -133,13 +125,9 @@ TEST(FailureInjection, HealthyTasksUnaffectedByOneBadApple) {
   }
   MWDriver driver(comm);
   driver.setMaxRetries(10);
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < 30; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const auto results = echoAll(driver, 0, 30);
   for (std::int64_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i);
+    EXPECT_EQ(results[static_cast<std::size_t>(i)], i);
   }
   driver.shutdown();
   for (auto& t : threads) t.join();

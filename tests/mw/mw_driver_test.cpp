@@ -2,33 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "core/eval_scheduler.hpp"
 #include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
+#include "mw/sampling_service.hpp"
+#include "noise/noisy_function.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
+#include "testfunctions/functions.hpp"
 
 namespace {
 
 using namespace sfopt::mw;
 
 /// Toy task: square an integer.
-class SquareTask final : public MWTask {
- public:
-  SquareTask() = default;
-  explicit SquareTask(std::int64_t v) : value_(v) {}
-
-  void packInput(MessageBuffer& buf) const override { buf.pack(value_); }
-  void unpackInput(MessageBuffer& buf) override { value_ = buf.unpackInt64(); }
-  void packResult(MessageBuffer& buf) const override { buf.pack(result_); }
-  void unpackResult(MessageBuffer& buf) override { result_ = buf.unpackInt64(); }
-
+struct SquareTask {
   std::int64_t value_ = 0;
   std::int64_t result_ = 0;
+
+  [[nodiscard]] MessageBuffer input() const {
+    MessageBuffer buf;
+    buf.pack(value_);
+    return buf;
+  }
 };
 
 /// Toy worker implementing the square service.
@@ -38,19 +40,17 @@ class SquareWorker final : public MWWorker {
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override {
-    SquareTask t;
-    t.unpackInput(in);
-    t.result_ = t.value_ * t.value_;
-    t.packResult(out);
+    const std::int64_t v = in.unpackInt64();
+    out.pack(v * v);
   }
 };
 
+/// Every worker is constructed before any thread starts, so no running
+/// thread reads `objs` while it grows.
 struct Pool {
   explicit Pool(CommWorld& comm, int workers) {
-    for (int w = 0; w < workers; ++w) {
-      objs.push_back(std::make_unique<SquareWorker>(comm, w + 1));
-      threads.emplace_back([this, w] { objs[static_cast<std::size_t>(w)]->run(); });
-    }
+    for (int w = 0; w < workers; ++w) objs.push_back(std::make_unique<SquareWorker>(comm, w + 1));
+    for (auto& obj : objs) threads.emplace_back([&worker = *obj] { worker.run(); });
   }
   ~Pool() {
     for (auto& t : threads) t.join();
@@ -58,6 +58,19 @@ struct Pool {
   std::vector<std::unique_ptr<SquareWorker>> objs;
   std::vector<std::thread> threads;
 };
+
+/// Submit every task, drain, and write each result back by submit id.
+void runTasks(MWDriver& driver, std::vector<SquareTask>& tasks) {
+  std::map<std::uint64_t, std::size_t> slotOf;
+  for (std::size_t i = 0; i < tasks.size(); ++i) slotOf[driver.submit(tasks[i].input())] = i;
+  for (auto& c : driver.drain()) tasks[slotOf.at(c.id)].result_ = c.payload.unpackInt64();
+}
+
+std::vector<SquareTask> squares(std::int64_t first, std::int64_t count) {
+  std::vector<SquareTask> tasks;
+  for (std::int64_t i = 0; i < count; ++i) tasks.push_back({first + i, -1});
+  return tasks;
+}
 
 TEST(MWDriver, RequiresAtLeastOneWorker) {
   CommWorld w(1);
@@ -68,14 +81,9 @@ TEST(MWDriver, ExecutesTypedTasks) {
   CommWorld comm(4);
   Pool pool(comm, 3);
   MWDriver driver(comm);
-  std::vector<SquareTask> tasks;
-  for (std::int64_t i = 0; i < 20; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
-  for (std::int64_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i * i);
-  }
+  auto tasks = squares(0, 20);
+  runTasks(driver, tasks);
+  for (const auto& t : tasks) EXPECT_EQ(t.result_, t.value_ * t.value_);
   EXPECT_EQ(driver.tasksCompleted(), 20u);
   driver.shutdown();
 }
@@ -84,26 +92,20 @@ TEST(MWDriver, EmptyBatchIsNoop) {
   CommWorld comm(2);
   Pool pool(comm, 1);
   MWDriver driver(comm);
-  auto results = driver.executeBuffers({});
-  EXPECT_TRUE(results.empty());
+  EXPECT_TRUE(driver.drain().empty());
+  EXPECT_TRUE(driver.poll(5.0).empty()) << "nothing outstanding: poll must not wait";
   driver.shutdown();
 }
 
 TEST(MWDriver, ResultsInTaskOrderDespiteDynamicScheduling) {
+  // Completions arrive in completion order; the submit id is what maps
+  // each one back to its task, whichever worker ran it.
   CommWorld comm(3);
   Pool pool(comm, 2);
   MWDriver driver(comm);
-  std::vector<MessageBuffer> inputs;
-  for (std::int64_t i = 0; i < 50; ++i) {
-    MessageBuffer b;
-    b.pack(i);
-    inputs.push_back(std::move(b));
-  }
-  auto results = driver.executeBuffers(std::move(inputs));
-  ASSERT_EQ(results.size(), 50u);
-  for (std::int64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].unpackInt64(), i * i);
-  }
+  auto tasks = squares(0, 50);
+  runTasks(driver, tasks);
+  for (const auto& t : tasks) EXPECT_EQ(t.result_, t.value_ * t.value_);
   driver.shutdown();
 }
 
@@ -111,11 +113,8 @@ TEST(MWDriver, MoreTasksThanWorkers) {
   CommWorld comm(2);  // single worker
   Pool pool(comm, 1);
   MWDriver driver(comm);
-  std::vector<SquareTask> tasks;
-  for (std::int64_t i = 0; i < 7; ++i) tasks.emplace_back(i + 100);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  auto tasks = squares(100, 7);
+  runTasks(driver, tasks);
   for (const auto& t : tasks) EXPECT_EQ(t.result_, t.value_ * t.value_);
   driver.shutdown();
 }
@@ -124,11 +123,10 @@ TEST(MWDriver, MultipleBatchesReuseWorkers) {
   CommWorld comm(3);
   Pool pool(comm, 2);
   MWDriver driver(comm);
-  for (int round = 0; round < 5; ++round) {
-    SquareTask t(round);
-    MWTask* p = &t;
-    driver.executeTasks({&p, 1});
-    EXPECT_EQ(t.result_, static_cast<std::int64_t>(round) * round);
+  for (std::int64_t round = 0; round < 5; ++round) {
+    auto tasks = squares(round, 1);
+    runTasks(driver, tasks);
+    EXPECT_EQ(tasks[0].result_, round * round);
   }
   EXPECT_EQ(driver.tasksCompleted(), 5u);
   driver.shutdown();
@@ -140,38 +138,60 @@ TEST(MWDriver, ShutdownIsIdempotentAndExecuteAfterThrows) {
   MWDriver driver(comm);
   driver.shutdown();
   driver.shutdown();
-  EXPECT_THROW((void)driver.executeBuffers({}), std::logic_error);
+  EXPECT_THROW((void)driver.submit(SquareTask{3, 0}.input()), std::logic_error);
+  EXPECT_THROW((void)driver.poll(0.0), std::logic_error);
 }
 
 TEST(MWDriver, RecvTimeoutThrowsWithTasksOutstanding) {
-  // No worker ever answers: the dispatch succeeds but the receive loop's
-  // backstop must fire instead of blocking forever.
+  // No worker ever answers: the dispatch succeeds, and the receive timeout
+  // is the silence window the EvalScheduler waits on before giving up
+  // instead of blocking forever.
   CommWorld comm(2);
   MWDriver driver(comm);
   driver.setRecvTimeout(0.05);
-  SquareTask task(3);
-  std::vector<MWTask*> ptrs = {&task};
-  EXPECT_THROW(driver.executeTasks(ptrs), std::runtime_error);
+  MWSamplingBackend backend(driver);
+  EXPECT_EQ(backend.silenceTimeoutSeconds(), 0.05);
+  sfopt::core::EvalScheduler sched(backend, {});
+  const std::vector<double> x{1.0};
+  const sfopt::core::SamplingBackend::BatchRequest req{x, 1, 0, 64};
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)sched.evaluate({&req, 1}), std::runtime_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 5.0);
 }
 
 TEST(MWDriver, WorkerLostRequeuesItsTaskOntoSurvivors) {
+  // The sampling path end to end: rank 1 is "lost" via a scripted
+  // transport notification already queued when the batch starts, and the
+  // EvalScheduler still folds every batch bitwise from the survivor.
+  const sfopt::noise::NoisyFunction objective(2, &sfopt::testfunctions::sphere,
+                                              {.sigma0 = 1.0, .seed = 3});
   CommWorld comm(3);
-  // Only rank 2 has a real worker; rank 1 is "lost" via a scripted
-  // transport notification already queued when the batch starts.
-  SquareWorker survivor(comm, 2);
+  SamplingWorker survivor(comm, 2, objective, 1);
   std::thread runner([&survivor] { survivor.run(); });
   comm.send(1, 0, sfopt::net::kTagWorkerLost, {});
 
   MWDriver driver(comm);
   driver.setRecvTimeout(5.0);
-  std::vector<SquareTask> tasks;
-  for (std::int64_t i = 1; i <= 3; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  MWSamplingBackend backend(driver);
+  sfopt::core::EvalScheduler sched(backend, {});
+  const std::vector<double> x{0.5, 2.0};
+  std::vector<sfopt::core::SamplingBackend::BatchRequest> reqs;
+  for (std::uint64_t v = 1; v <= 3; ++v) reqs.push_back({x, v, 0, 100});
+  const auto got = sched.evaluate(reqs);
 
-  for (std::int64_t i = 1; i <= 3; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i - 1)].result_, i * i);
+  for (std::uint64_t v = 1; v <= 3; ++v) {
+    std::vector<sfopt::stats::Welford> chunks;
+    for (std::uint64_t first = 0; first < 100; first += 64) {
+      std::vector<double> samples;
+      for (std::uint64_t i = first; i < std::min<std::uint64_t>(first + 64, 100); ++i) {
+        samples.push_back(objective.sample(x, {v, i}));
+      }
+      chunks.push_back(sfopt::core::accumulateEvalChunk(samples));
+    }
+    const auto want = sfopt::core::foldEvalChunks(chunks);
+    EXPECT_EQ(got[v - 1].count(), 100);
+    EXPECT_EQ(got[v - 1].mean(), want.mean());
+    EXPECT_EQ(got[v - 1].sumSquaredDeviations(), want.sumSquaredDeviations());
   }
   EXPECT_EQ(driver.workersLost(), 1u);
   EXPECT_GE(driver.tasksRequeued(), 1u);
@@ -185,9 +205,8 @@ TEST(MWDriver, ThrowsWhenEveryWorkerIsLost) {
   comm.send(1, 0, sfopt::net::kTagWorkerLost, {});
   MWDriver driver(comm);
   driver.setRecvTimeout(5.0);
-  SquareTask task(3);
-  std::vector<MWTask*> ptrs = {&task};
-  EXPECT_THROW(driver.executeTasks(ptrs), std::runtime_error);
+  (void)driver.submit(SquareTask{3, 0}.input());
+  EXPECT_THROW((void)driver.drain(), std::runtime_error);
 }
 
 /// Reports kTagError on its first task (MWWorker turns the std::exception
@@ -202,10 +221,8 @@ class FailOnceWorker final : public MWWorker {
       failed_ = true;
       throw std::runtime_error("transient failure");
     }
-    SquareTask t;
-    t.unpackInput(in);
-    t.result_ = t.value_ * t.value_;
-    t.packResult(out);
+    const std::int64_t v = in.unpackInt64();
+    out.pack(v * v);
   }
 
  private:
@@ -297,6 +314,7 @@ TEST(MWDriver, AsyncWorkerLostRequeuesOntoSurvivors) {
   ASSERT_EQ(done.size(), 4u);
   for (auto& c : done) EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
   EXPECT_EQ(driver.workersLost(), 1u);
+  EXPECT_GE(driver.tasksRequeued(), 1u);
   EXPECT_EQ(driver.liveWorkerCount(), 1);
   driver.shutdown();
   runner.join();
@@ -352,11 +370,8 @@ TEST(MWDriver, WorkersCountTheirTasks) {
   Pool pool(comm, 2);
   {
     MWDriver driver(comm);
-    std::vector<SquareTask> tasks;
-    for (std::int64_t i = 0; i < 10; ++i) tasks.emplace_back(i);
-    std::vector<MWTask*> ptrs;
-    for (auto& t : tasks) ptrs.push_back(&t);
-    driver.executeTasks(ptrs);
+    auto tasks = squares(0, 10);
+    runTasks(driver, tasks);
     driver.shutdown();
   }
   // Sum over workers equals the batch size (load split is dynamic).
@@ -368,8 +383,8 @@ TEST(MWDriver, WorkersCountTheirTasks) {
 TEST(MWDriver, DuplicateCompletionsForFoldedTasksAreDiscardedAndCounted) {
   // A fabric that re-delivers frames (or a proxy that duplicates them)
   // hands the driver a second kTagResult / kTagError for a task it already
-  // folded.  The duplicates must be discarded and counted — the driver
-  // used to throw "result for unknown task id" and kill the whole batch.
+  // completed.  The duplicates must be discarded and counted, never thrown
+  // as "result for unknown task id" or allowed to free the rank's slot.
   sfopt::telemetry::NoopSink sink;
   sfopt::telemetry::Telemetry spine(sink);
   CommWorld comm(2);
@@ -394,9 +409,9 @@ TEST(MWDriver, DuplicateCompletionsForFoldedTasksAreDiscardedAndCounted) {
     err.pack(std::uint64_t{1});
     err.pack(std::string("ghost failure"));
     comm.send(1, 0, kTagError, std::move(err));
-    // Task 2 (dispatched once task 1 folded) completes last, so the
+    // Task 2 (dispatched once task 1 completed) completes last, so the
     // duplicates are guaranteed to pass through the dispatch bookkeeping
-    // while the batch is still running.
+    // while it is still in flight.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     MessageBuffer res2;
     res2.pack(std::uint64_t{2});
@@ -404,15 +419,17 @@ TEST(MWDriver, DuplicateCompletionsForFoldedTasksAreDiscardedAndCounted) {
     comm.send(1, 0, kTagResult, std::move(res2));
   });
 
-  std::vector<MessageBuffer> inputs(2);
-  inputs[0].pack(std::int64_t{5});
-  inputs[1].pack(std::int64_t{6});
-  auto results = driver.executeBuffers(std::move(inputs));
+  // Task 1 goes straight to rank 1; task 2 waits for it to free up.
+  EXPECT_EQ(driver.submit(SquareTask{5, 0}.input()), 1u);
+  EXPECT_EQ(driver.submit(SquareTask{6, 0}.input()), 2u);
+  auto done = driver.drain();
   script.join();
 
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].unpackInt64(), 25);
-  EXPECT_EQ(results[1].unpackInt64(), 36);
+  ASSERT_EQ(done.size(), 2u);
+  std::map<std::uint64_t, std::int64_t> results;
+  for (auto& c : done) results[c.id] = c.payload.unpackInt64();
+  EXPECT_EQ(results.at(1), 25);
+  EXPECT_EQ(results.at(2), 36);
   EXPECT_EQ(driver.staleResultsDiscarded(), 2u);
   EXPECT_EQ(driver.tasksRequeued(), 0u) << "a stale error report must not requeue";
   EXPECT_EQ(spine.metrics().counter("mw.stale_results_discarded").value(), 2);

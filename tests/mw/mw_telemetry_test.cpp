@@ -1,17 +1,17 @@
 // MWDriver task-lifecycle telemetry, including the retry path: a
 // fault-injecting worker fails its first N tasks, and the telemetry must
 // agree with the driver's own requeue accounting while still covering the
-// queue-wait / execute / utilization instruments.
+// queue-wait / execute / idle-fraction instruments and the shard span trees.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "mw/mw_driver.hpp"
-#include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sink.hpp"
@@ -22,17 +22,19 @@ namespace {
 using namespace sfopt::mw;
 namespace telemetry = sfopt::telemetry;
 
-class EchoTask final : public MWTask {
- public:
-  EchoTask() = default;
-  explicit EchoTask(std::int64_t v) : value_(v) {}
-  void packInput(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackInput(MessageBuffer& b) override { value_ = b.unpackInt64(); }
-  void packResult(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackResult(MessageBuffer& b) override { result_ = b.unpackInt64(); }
-  std::int64_t value_ = 0;
-  std::int64_t result_ = -1;
-};
+/// Submit values 0..count-1 and drain; returns each task's echoed result
+/// in submit order.
+std::vector<std::int64_t> echoAll(MWDriver& driver, std::int64_t count) {
+  std::map<std::uint64_t, std::size_t> slotOf;
+  for (std::int64_t i = 0; i < count; ++i) {
+    MessageBuffer b;
+    b.pack(i);
+    slotOf[driver.submit(std::move(b))] = static_cast<std::size_t>(i);
+  }
+  std::vector<std::int64_t> out(static_cast<std::size_t>(count), -1);
+  for (auto& c : driver.drain()) out[slotOf.at(c.id)] = c.payload.unpackInt64();
+  return out;
+}
 
 /// Fails the first `failures` tasks it sees, then behaves.
 class FlakyWorker final : public MWWorker {
@@ -42,24 +44,25 @@ class FlakyWorker final : public MWWorker {
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override {
-    EchoTask t;
-    t.unpackInput(in);
+    const std::int64_t v = in.unpackInt64();
     if (remainingFailures_-- > 0) {
       throw std::runtime_error("injected failure");
     }
-    t.packResult(out);
+    out.pack(v);
   }
 
  private:
   int remainingFailures_;
 };
 
+/// Every worker is constructed before any thread starts, so no running
+/// thread reads `objs` while it grows.
 struct Pool {
   Pool(CommWorld& comm, int workers, int failuresEach) {
     for (int w = 0; w < workers; ++w) {
       objs.push_back(std::make_unique<FlakyWorker>(comm, w + 1, failuresEach));
-      threads.emplace_back([this, w] { objs[static_cast<std::size_t>(w)]->run(); });
     }
+    for (auto& obj : objs) threads.emplace_back([&worker = *obj] { worker.run(); });
   }
   ~Pool() {
     for (auto& t : threads) t.join();
@@ -86,15 +89,11 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
   MWDriver driver(comm);
   driver.setTelemetry(&tel);
 
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < kTasks; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const auto results = echoAll(driver, kTasks);
   driver.shutdown();
 
   for (std::int64_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i);
+    EXPECT_EQ(results[static_cast<std::size_t>(i)], i);
   }
 
   // Every injected failure surfaced as a requeue, and the telemetry spine
@@ -105,7 +104,6 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
             static_cast<std::int64_t>(driver.tasksRequeued()));
   EXPECT_EQ(reg.counter("mw.tasks_completed").value(),
             static_cast<std::int64_t>(driver.tasksCompleted()));
-  EXPECT_EQ(reg.counter("mw.batches").value(), 1);
   EXPECT_DOUBLE_EQ(reg.gauge("mw.workers").value(), kWorkers);
 
   // Dispatches = completions + requeues: each failed attempt was itself a
@@ -120,25 +118,35 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
   EXPECT_EQ(execute.count(), kTasks);
   EXPECT_GE(execute.sum(), 0.0);
 
-  // One utilization observation per worker per batch, each in [0, 1]-ish
-  // (busy time cannot exceed batch wall time).
-  auto& util = reg.histogram("mw.worker.utilization",
+  // The idle fraction of the live fleet is sampled at every completion.
+  auto& idle = reg.histogram("mw.worker_idle_fraction",
                              {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-  EXPECT_EQ(util.count(), kWorkers);
-  EXPECT_GE(util.sum(), 0.0);
-  EXPECT_LE(util.sum(), static_cast<double>(kWorkers) + 1e-9);
+  EXPECT_EQ(idle.count(), kTasks);
+  EXPECT_GE(idle.sum(), 0.0);
+  EXPECT_LE(idle.sum(), static_cast<double>(kTasks) + 1e-9);
 
-  // The batch span is emitted once with the task/worker shape attached.
-  std::int64_t batchSpans = 0;
+  // Every task is one shard.lifecycle tree: a root ended ok with its
+  // requeue count, and one shard.queue + shard.remote pair per dispatch.
+  std::int64_t roots = 0, queues = 0, remotes = 0, requeuedRemotes = 0;
+  double requeuesOnRoots = 0.0;
   for (const auto& e : sink.events) {
-    if (e.type == "span" && e.name == "mw.batch") {
-      ++batchSpans;
-      EXPECT_EQ(e.num("tasks"), static_cast<double>(kTasks));
-      EXPECT_EQ(e.num("workers"), static_cast<double>(kWorkers));
-      EXPECT_GE(e.duration, 0.0);
+    if (e.type != "span") continue;
+    if (e.name == "shard.lifecycle") {
+      ++roots;
+      EXPECT_EQ(e.str("outcome"), "ok");
+      requeuesOnRoots += e.num("requeues").value_or(0.0);
+    }
+    queues += e.name == "shard.queue" ? 1 : 0;
+    if (e.name == "shard.remote") {
+      ++remotes;
+      requeuedRemotes += e.str("outcome") == "error" ? 1 : 0;
     }
   }
-  EXPECT_EQ(batchSpans, 1);
+  EXPECT_EQ(roots, kTasks);
+  EXPECT_EQ(queues, dispatched);
+  EXPECT_EQ(remotes, dispatched);
+  EXPECT_EQ(requeuedRemotes, kWorkers * kFailuresEach);
+  EXPECT_EQ(requeuesOnRoots, static_cast<double>(kWorkers * kFailuresEach));
 }
 
 TEST(MWTelemetry, CleanRunRecordsNoRequeues) {
@@ -149,11 +157,7 @@ TEST(MWTelemetry, CleanRunRecordsNoRequeues) {
   MWDriver driver(comm);
   driver.setTelemetry(&tel);
 
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < 8; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  (void)echoAll(driver, 8);
   driver.shutdown();
 
   EXPECT_EQ(tel.metrics().counter("mw.tasks_requeued").value(), 0);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
+#include "mw/comm.hpp"
+#include "mw/mw_task.hpp"
 #include "mw/processor_allocation.hpp"
 #include "tests/core/test_helpers.hpp"
 
@@ -124,6 +128,35 @@ TEST(ParallelRunner, CommunicationScalesWithWork) {
   const auto a = runSimplexOverMW(obj, start, small, MWRunConfig{.workers = 2});
   const auto b = runSimplexOverMW(obj, start, large, MWRunConfig{.workers = 2});
   EXPECT_GT(b.messagesSent, a.messagesSent);
+}
+
+TEST(ParallelRunner, SilentFleetTripsTheRecvTimeoutBackstop) {
+  // Rank 1 accepts every task and never answers.  Sharded or not, the run
+  // must give up once the fleet has been silent for recvTimeoutSeconds
+  // instead of waiting out a hard-coded window.
+  auto obj = test::noisySphere(2, 1.0);
+  const auto start = test::simpleStart(2, 1.0, 0.5);
+  for (const std::int64_t shardMin : {std::int64_t{0}, std::int64_t{64}}) {
+    mw::CommWorld comm(2);
+    std::thread swallower([&comm] {
+      while (comm.recv(1).tag != mw::kTagShutdown) {
+      }
+    });
+    core::MaxNoiseOptions opts;
+    opts.common.termination.maxIterations = 5;
+    opts.common.sampling.shardMinSamples = shardMin;
+    MWRunConfig cfg;
+    cfg.recvTimeoutSeconds = 0.3;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)mw::runSimplexOverTransport(obj, start, opts, comm, cfg),
+                 std::runtime_error)
+        << "shardMinSamples=" << shardMin;
+    const double waited =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    EXPECT_LT(waited, 5.0) << "shardMinSamples=" << shardMin;
+    comm.send(0, 1, mw::kTagShutdown, {});
+    swallower.join();
+  }
 }
 
 }  // namespace

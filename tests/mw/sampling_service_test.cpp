@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 
+#include "core/eval_scheduler.hpp"
 #include "tests/core/test_helpers.hpp"
 
 namespace {
@@ -30,23 +32,26 @@ TEST(SamplingTask, ResultRoundTripPreservesMoments) {
   w.add(1.0);
   w.add(2.0);
   w.add(4.0);
-  t.setResult(w);
+  t.setChunks({w});
   MessageBuffer buf;
   t.packResult(buf);
   SamplingTask u;
   u.unpackResult(buf);
-  EXPECT_EQ(u.result().count(), 3);
-  EXPECT_DOUBLE_EQ(u.result().mean(), w.mean());
-  EXPECT_DOUBLE_EQ(u.result().variance(), w.variance());
+  ASSERT_EQ(u.chunks().size(), 1u);
+  EXPECT_EQ(u.chunks()[0].count(), 3);
+  EXPECT_DOUBLE_EQ(u.chunks()[0].mean(), w.mean());
+  EXPECT_DOUBLE_EQ(u.chunks()[0].variance(), w.variance());
 }
 
+/// Every worker is constructed before any thread starts, so no running
+/// thread reads `workerObjs` while it grows.
 struct ServiceFixture {
   explicit ServiceFixture(const noise::StochasticObjective& obj, int workers, int clients)
       : comm(workers + 1) {
     for (int w = 0; w < workers; ++w) {
       workerObjs.push_back(std::make_unique<SamplingWorker>(comm, w + 1, obj, clients));
-      threads.emplace_back([this, w] { workerObjs[static_cast<std::size_t>(w)]->run(); });
     }
+    for (auto& worker : workerObjs) threads.emplace_back([&w = *worker] { w.run(); });
     driver = std::make_unique<MWDriver>(comm);
   }
   ~ServiceFixture() {
@@ -59,13 +64,22 @@ struct ServiceFixture {
   std::unique_ptr<MWDriver> driver;
 };
 
+/// Sample `reqs` the way SamplingContext does: through an EvalScheduler
+/// over the backend, one ticket per non-empty batch.
+std::vector<stats::Welford> sampleAll(MWSamplingBackend& backend,
+                                      std::span<const core::SamplingBackend::BatchRequest> reqs) {
+  core::EvalScheduler sched(backend, {});
+  return sched.evaluate(reqs);
+}
+
 TEST(MWSamplingBackend, SingleBatchMatchesInline) {
   auto obj = test::noisySphere(2, 3.0);
   ServiceFixture fx(obj, 3, 2);
   MWSamplingBackend backend(*fx.driver);
 
   const std::vector<double> x{2.0, -1.0};
-  const auto got = backend.sampleBatch({x, 21, 0, 64});
+  const core::SamplingBackend::BatchRequest req{x, 21, 0, 64};
+  const auto got = sampleAll(backend, {&req, 1}).front();
 
   stats::Welford ref;
   for (std::uint64_t i = 0; i < 64; ++i) ref.add(obj.sample(x, {21, i}));
@@ -87,7 +101,7 @@ TEST(MWSamplingBackend, ManyBatchesInOrder) {
   for (std::uint64_t v = 0; v < 10; ++v) {
     reqs.push_back({points[v], v, 0, 16});
   }
-  const auto got = backend.sampleBatches(reqs);
+  const auto got = sampleAll(backend, reqs);
   ASSERT_EQ(got.size(), 10u);
   for (std::uint64_t v = 0; v < 10; ++v) {
     stats::Welford ref;
@@ -103,7 +117,7 @@ TEST(MWSamplingBackend, ZeroCountBatchesNeverLeaveTheMaster) {
   const std::vector<double> x{1.0, 1.0};
   const std::vector<core::SamplingBackend::BatchRequest> reqs = {
       {x, 1, 0, 0}, {x, 2, 0, 16}, {x, 3, 0, 0}, {x, 4, 8, 16}};
-  const auto got = backend.sampleBatches(reqs);
+  const auto got = sampleAll(backend, reqs);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[0].count(), 0);
   EXPECT_EQ(got[2].count(), 0);
@@ -128,7 +142,7 @@ TEST(MWSamplingBackend, AllZeroCountBatchesSkipDispatchEntirely) {
   MWSamplingBackend backend(*fx.driver);
   const std::vector<double> x{0.0, 0.0};
   const std::vector<core::SamplingBackend::BatchRequest> reqs = {{x, 1, 0, 0}, {x, 2, 4, 0}};
-  const auto got = backend.sampleBatches(reqs);
+  const auto got = sampleAll(backend, reqs);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].count(), 0);
   EXPECT_EQ(got[1].count(), 0);
@@ -139,15 +153,13 @@ TEST(MWSamplingBackend, AsyncAdapterDeliversCanonicalChunks) {
   auto obj = test::noisySphere(2, 2.0);
   ServiceFixture fx(obj, 2, 2);
   MWSamplingBackend backend(*fx.driver);
-  core::AsyncSamplingBackend* async = backend.async();
-  ASSERT_NE(async, nullptr);
-  EXPECT_GE(async->parallelism(), 1);
+  EXPECT_EQ(backend.parallelism(), 2);
 
   const std::vector<double> x{0.5, -0.5};
-  const std::uint64_t ticket = async->submit({x, 9, 0, 150});
-  std::vector<core::AsyncSamplingBackend::Completion> got;
+  const std::uint64_t ticket = backend.submit({x, 9, 0, 150});
+  std::vector<core::SamplingBackend::Completion> got;
   while (got.empty()) {
-    auto ready = async->poll(5.0);
+    auto ready = backend.poll(5.0);
     got.insert(got.end(), ready.begin(), ready.end());
   }
   ASSERT_EQ(got.size(), 1u);
@@ -177,7 +189,7 @@ TEST(MWSamplingBackend, WorkersShareTheLoad) {
   const std::vector<double> x{0.0, 0.0};
   std::vector<core::SamplingBackend::BatchRequest> reqs;
   for (std::uint64_t v = 0; v < 30; ++v) reqs.push_back({x, v, 0, 4});
-  (void)backend.sampleBatches(reqs);
+  (void)sampleAll(backend, reqs);
   // Dynamic dispatch should engage more than one worker for 30 tasks.
   int engaged = 0;
   for (const auto& w : fx.workerObjs) {

@@ -111,7 +111,7 @@ TEST(CommWake, WakesDuringDrainAreNotReadAsFabricSilence) {
       std::this_thread::sleep_for(5ms);
     }
   });
-  std::vector<mw::MWDriver::AsyncCompletion> got;
+  std::vector<mw::MWDriver::Completion> got;
   EXPECT_NO_THROW(got = driver.drain());
   done.store(true);
   waker.join();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -8,10 +9,12 @@
 #include <vector>
 
 #include "core/algorithms.hpp"
+#include "core/eval_scheduler.hpp"
 #include "mw/mw_driver.hpp"
 #include "mw/mw_worker.hpp"
 #include "mw/parallel_runner.hpp"
 #include "mw/sampling_service.hpp"
+#include "mw/vertex_server.hpp"
 #include "net/tcp_transport.hpp"
 #include "noise/noisy_function.hpp"
 #include "telemetry/sink.hpp"
@@ -54,6 +57,29 @@ class EchoWorker final : public mw::MWWorker {
   bool die_;
 };
 
+/// A SamplingWorker that can crash like EchoWorker: the span-tree test
+/// runs the real sampling path so the EvalScheduler folds every shard.
+class DyingSamplingWorker final : public mw::MWWorker {
+ public:
+  DyingSamplingWorker(net::Transport& comm, mw::Rank rank,
+                      const noise::StochasticObjective& objective, bool dieOnFirstTask)
+      : MWWorker(comm, rank), server_(objective, 1), die_(dieOnFirstTask) {}
+
+ protected:
+  void executeTask(mw::MessageBuffer& in, mw::MessageBuffer& out) override {
+    if (die_) throw Die{};
+    mw::SamplingTask task;
+    task.unpackInput(in);
+    task.setChunks(server_.runBatchChunks(
+        {task.x(), task.vertexId(), task.startIndex(), task.count()}));
+    task.packResult(out);
+  }
+
+ private:
+  mw::VertexServer server_;
+  bool die_;
+};
+
 TEST(DistributedFailure, KilledWorkerTaskIsRequeuedAndBatchCompletes) {
   telemetry::NoopSink sink;
   telemetry::Telemetry spine(sink);
@@ -81,18 +107,16 @@ TEST(DistributedFailure, KilledWorkerTaskIsRequeuedAndBatchCompletes) {
 
   mw::MWDriver driver(master);
   driver.setRecvTimeout(10.0);
-  std::vector<mw::MessageBuffer> inputs;
+  std::map<std::uint64_t, std::int64_t> want;
   for (std::int64_t v = 1; v <= 4; ++v) {
     mw::MessageBuffer b;
     b.pack(v);
-    inputs.push_back(std::move(b));
+    want[driver.submit(std::move(b))] = 2 * v;
   }
-  auto results = driver.executeBuffers(std::move(inputs));
+  auto done = driver.drain();
 
-  ASSERT_EQ(results.size(), 4u);
-  for (std::int64_t v = 1; v <= 4; ++v) {
-    EXPECT_EQ(results[static_cast<std::size_t>(v - 1)].unpackInt64(), 2 * v);
-  }
+  ASSERT_EQ(done.size(), 4u);
+  for (auto& c : done) EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
   EXPECT_EQ(driver.tasksCompleted(), 4u);
   EXPECT_EQ(driver.workersLost(), 1u);
   EXPECT_GE(driver.tasksRequeued(), 1u);
@@ -107,10 +131,13 @@ TEST(DistributedFailure, KilledWorkerTaskIsRequeuedAndBatchCompletes) {
 }
 
 TEST(DistributedFailure, KilledWorkerLeavesCompleteSpanTree) {
-  // Same crash scenario as above, but with the full tracing spine on both
-  // sides: the requeued shard's span tree must reconstruct completely —
-  // one lifecycle root, a queue + remote span per dispatch attempt, the
-  // lost attempt ended with outcome=lost, and exactly one terminal marker.
+  // Same crash scenario as above, over the real sampling path (an
+  // EvalScheduler folding MWSamplingBackend shards) and with the full
+  // tracing spine on both sides: the requeued shard's span tree must
+  // reconstruct completely — one lifecycle root, a queue + remote span per
+  // dispatch attempt, the lost attempt ended with outcome=lost, and
+  // exactly one terminal marker.
+  const noise::NoisyFunction objective(2, &testfunctions::sphere, {.sigma0 = 1.0, .seed = 5});
   std::ostringstream masterJsonl;
   telemetry::JsonlSink masterSink(masterJsonl);
   telemetry::Telemetry masterSpine(masterSink);
@@ -124,7 +151,7 @@ TEST(DistributedFailure, KilledWorkerLeavesCompleteSpanTree) {
   int joined = 0;
   for (const bool die : {true, false}) {
     std::ostringstream& stream = workerJsonl[static_cast<std::size_t>(joined)];
-    threads.emplace_back([port, die, &stream] {
+    threads.emplace_back([port, die, &stream, &objective] {
       telemetry::JsonlSink sink(stream);
       telemetry::Telemetry spine(sink);
       try {
@@ -133,7 +160,7 @@ TEST(DistributedFailure, KilledWorkerLeavesCompleteSpanTree) {
         net::TcpWorkerTransport transport("127.0.0.1", port, wopts);
         spine.tracer().seedIds(
             (static_cast<std::uint64_t>(transport.rank()) << 40) + 1);
-        EchoWorker worker(transport, transport.rank(), die);
+        DyingSamplingWorker worker(transport, transport.rank(), objective, die);
         worker.setTelemetry(&spine);
         worker.run();
       } catch (const Die&) {
@@ -146,14 +173,14 @@ TEST(DistributedFailure, KilledWorkerLeavesCompleteSpanTree) {
   mw::MWDriver driver(master);
   driver.setTelemetry(&masterSpine);
   driver.setRecvTimeout(10.0);
-  std::vector<mw::MessageBuffer> inputs;
-  for (std::int64_t v = 1; v <= 4; ++v) {
-    mw::MessageBuffer b;
-    b.pack(v);
-    inputs.push_back(std::move(b));
-  }
-  auto results = driver.executeBuffers(std::move(inputs));
+  mw::MWSamplingBackend backend(driver);
+  core::EvalScheduler sched(backend, {.telemetry = &masterSpine});
+  const std::vector<double> x{1.0, -1.0};
+  std::vector<core::SamplingBackend::BatchRequest> reqs;
+  for (std::uint64_t v = 1; v <= 4; ++v) reqs.push_back({x, v, 0, 64});
+  const auto results = sched.evaluate(reqs);
   ASSERT_EQ(results.size(), 4u);
+  for (const auto& r : results) EXPECT_EQ(r.count(), 64);
   EXPECT_GE(driver.tasksRequeued(), 1u);
   driver.shutdown();
   for (auto& t : threads) t.join();

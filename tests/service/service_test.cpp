@@ -194,6 +194,27 @@ TEST(Service, TwoConcurrentJobsMatchSoloRunsBitwise) {
   EXPECT_EQ(after.state, service::JobState::Done);
 }
 
+TEST(Service, SilentFleetFailsTheJobAfterRecvTimeout) {
+  // The only worker sits on the job's first shard.  With no completion for
+  // recvTimeoutSeconds the job's EvalScheduler declares the fleet wedged
+  // and the job fails, instead of waiting forever.
+  std::promise<void> release;
+  Harness h(1, 1, -1, release.get_future().share());
+  h.opts.recvTimeoutSeconds = 0.5;
+  h.start();
+  service::ServiceClient client("127.0.0.1", h.comm.port());
+  const auto t0 = std::chrono::steady_clock::now();
+  const service::StatusReply ack = client.submit(makeSpec("sphere", 2, "mn", 5, 10));
+  const service::ResultReply result = client.waitResult(30.0);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  release.set_value();
+  EXPECT_EQ(ack.state, service::JobState::Queued);
+  EXPECT_EQ(result.state, service::JobState::Failed) << result.detail;
+  EXPECT_NE(result.detail.find("silent"), std::string::npos) << result.detail;
+  EXPECT_LT(waited, 10.0);
+}
+
 TEST(Service, WorkerLossMidJobKeepsTheResultBitwise) {
   const service::JobSpec spec = makeSpec("rosenbrock", 4, "pc", 7, 20);
   const core::OptimizationResult solo = soloRun(spec);

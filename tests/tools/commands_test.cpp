@@ -219,15 +219,15 @@ TEST(Cli, TelemetryOutCapturesEngineMwAndCliLayers) {
 
   const auto events = sfopt::telemetry::readJsonlEvents(jsonl);
   ASSERT_FALSE(events.empty());
-  bool engineRun = false, mwBatch = false, cliSpan = false, metric = false;
+  bool engineRun = false, mwShard = false, cliSpan = false, metric = false;
   for (const auto& e : events) {
     engineRun |= e.type == "span" && e.name == "engine.run";
-    mwBatch |= e.type == "span" && e.name == "mw.batch";
+    mwShard |= e.type == "span" && e.name == "shard.lifecycle";
     cliSpan |= e.type == "span" && e.name == "cli.optimize";
     metric |= e.type == "metric" && e.name == "engine.iterations";
   }
   EXPECT_TRUE(engineRun);
-  EXPECT_TRUE(mwBatch);
+  EXPECT_TRUE(mwShard);
   EXPECT_TRUE(cliSpan);
   EXPECT_TRUE(metric);
 

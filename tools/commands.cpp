@@ -94,8 +94,8 @@ core::TerminationCriteria terminationFrom(const Args& args) {
 /// `--shard-min-samples N` splits any sampling batch bigger than N across
 /// the live workers, `--speculate` prefetches the likely next round while
 /// the current one is in flight.  Both only take effect when a sampling
-/// backend with an async path is attached (the MW / TCP deployments);
-/// serial runs ignore them.
+/// backend is attached (the MW / TCP deployments); serial runs ignore
+/// them.
 void applyPipelineKnobs(const Args& args, core::CommonOptions& common) {
   const auto shardMin = args.getInt("shard-min-samples", 0);
   if (shardMin < 0) throw ArgError("--shard-min-samples must be >= 0");
@@ -1183,6 +1183,9 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "tracing:    serve and worker stamp every task with a distributed trace\n";
   out << "            id; `sfopt trace` merges their captures into per-shard span\n";
   out << "            trees with queue/wire/execute breakdowns\n";
+  out << "backstop:   serve [--daemon] --recv-timeout S (default 300) fails a run\n";
+  out << "            or job whose fleet returns no result for S seconds while\n";
+  out << "            samples are outstanding; one backstop for every run mode\n";
   out << "pipeline:   --shard-min-samples N splits big sampling batches across\n";
   out << "            workers; --speculate prefetches the next round (optimize\n";
   out << "            --mw, water, serve; results stay bitwise identical)\n";
