@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <variant>
 
 #include "core/checkpoint.hpp"
 #include "core/condition_mask.hpp"
@@ -166,5 +167,20 @@ struct PCOptions {
 [[nodiscard]] OptimizationResult runPointToPointWithMaxNoise(
     const noise::StochasticObjective& objective, std::span<const Point> initial,
     PCOptions options = {});
+
+/// Any of the four simplex variants, selected by its options type.
+using AlgorithmOptions = std::variant<DetOptions, MaxNoiseOptions, AndersonOptions, PCOptions>;
+
+/// The options every variant shares, whichever variant `options` holds.
+[[nodiscard]] inline CommonOptions& commonOptions(AlgorithmOptions& options) {
+  return std::visit([](auto& o) -> CommonOptions& { return o.common; }, options);
+}
+
+/// Run the simplex variant `options` selects: the one dispatch from
+/// AlgorithmOptions to runDeterministic / runMaxNoise / runAnderson /
+/// runPointToPoint.
+[[nodiscard]] OptimizationResult runSimplex(const noise::StochasticObjective& objective,
+                                            std::span<const Point> initial,
+                                            const AlgorithmOptions& options);
 
 }  // namespace sfopt::core

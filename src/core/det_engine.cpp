@@ -1,8 +1,10 @@
 // Engine for Algorithm 1 (DET), Algorithm 2 (MN) and the Anderson-criterion
 // variant: all three share the classical Nelder-Mead decision tree and
-// differ only in the wait gate applied before the decisions.
+// differ only in the wait gate applied before the decisions.  Also home of
+// runSimplex, the AlgorithmOptions dispatch over all four simplex variants.
 
 #include <memory>
+#include <type_traits>
 
 #include "core/algorithms.hpp"
 #include "core/engine_base.hpp"
@@ -122,6 +124,24 @@ OptimizationResult runAnderson(const noise::StochasticObjective& objective,
   gate.b = options.k2;
   gate.policy = options.resample;
   return runClassicTree(objective, initial, options.common, gate);
+}
+
+OptimizationResult runSimplex(const noise::StochasticObjective& objective,
+                              std::span<const Point> initial, const AlgorithmOptions& options) {
+  return std::visit(
+      [&](const auto& o) {
+        using T = std::decay_t<decltype(o)>;
+        if constexpr (std::is_same_v<T, DetOptions>) {
+          return runDeterministic(objective, initial, o);
+        } else if constexpr (std::is_same_v<T, MaxNoiseOptions>) {
+          return runMaxNoise(objective, initial, o);
+        } else if constexpr (std::is_same_v<T, AndersonOptions>) {
+          return runAnderson(objective, initial, o);
+        } else {
+          return runPointToPoint(objective, initial, o);
+        }
+      },
+      options);
 }
 
 }  // namespace sfopt::core

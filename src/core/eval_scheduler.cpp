@@ -51,31 +51,20 @@ std::int64_t EvalScheduler::plannedShards(std::int64_t count) const {
   return std::max<std::int64_t>(shards, 1);
 }
 
-int EvalScheduler::submitSharded(const SamplingBackend::BatchRequest& request,
-                                 const BatchKey& key) {
-  const std::int64_t chunks = evalChunkCount(request.count);
-  const std::int64_t shards = plannedShards(request.count);
+void EvalScheduler::submitSharded(const SamplingBackend::BatchRequest& request,
+                                  const BatchKey& key) {
+  const auto shards = splitEvalChunks(request, plannedShards(request.count));
   Entry& entry = entries_.at(key);
-  const std::int64_t base = chunks / shards;
-  const std::int64_t extra = chunks % shards;
   std::int64_t chunkFirst = 0;
-  for (std::int64_t s = 0; s < shards; ++s) {
-    const std::int64_t shardChunks = base + (s < extra ? 1 : 0);
-    const std::int64_t sampleOffset = chunkFirst * kEvalChunkSamples;
-    const std::int64_t shardSamples =
-        std::min(shardChunks * kEvalChunkSamples, request.count - sampleOffset);
-    const SamplingBackend::BatchRequest shard{
-        request.x, request.vertexId,
-        request.startIndex + static_cast<std::uint64_t>(sampleOffset), shardSamples};
+  for (const SamplingBackend::BatchRequest& shard : shards) {
     const std::uint64_t ticket = backend_.submit(shard);
     ticketRoute_[ticket] = TicketRoute{key, chunkFirst, entry.sequence};
     ++entry.ticketsOutstanding;
-    chunkFirst += shardChunks;
+    chunkFirst += evalChunkCount(shard.count);
   }
   if (telShardsPerBatch_ != nullptr) {
-    telShardsPerBatch_->observe(static_cast<double>(shards));
+    telShardsPerBatch_->observe(static_cast<double>(shards.size()));
   }
-  return static_cast<int>(shards);
 }
 
 void EvalScheduler::routeCompletion(const SamplingBackend::Completion& completion) {

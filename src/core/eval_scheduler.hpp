@@ -128,9 +128,9 @@ class EvalScheduler {
   /// Shard count submitSharded would use for a batch of `count` samples.
   [[nodiscard]] std::int64_t plannedShards(std::int64_t count) const;
 
-  /// Split `request` into chunk-aligned shards and submit them, wiring
-  /// each ticket back to `key`'s chunk slots.  Returns the shard count.
-  int submitSharded(const SamplingBackend::BatchRequest& request, const BatchKey& key);
+  /// Split `request` into chunk-aligned shards (splitEvalChunks) and
+  /// submit them, wiring each ticket back to `key`'s chunk slots.
+  void submitSharded(const SamplingBackend::BatchRequest& request, const BatchKey& key);
 
   /// Block until every entry in `needed` is complete.  Throws when the
   /// backend stays silent past its silenceTimeoutSeconds().

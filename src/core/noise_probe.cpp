@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/welford.hpp"
+#include "core/sampling_backend.hpp"
 
 namespace sfopt::core {
 
@@ -13,10 +13,8 @@ NoiseProbe probeNoise(const noise::StochasticObjective& objective, const Point& 
   if (x.size() != objective.dimension()) {
     throw std::invalid_argument("probeNoise: dimension mismatch");
   }
-  stats::Welford w;
-  for (std::int64_t i = 0; i < samples; ++i) {
-    w.add(objective.sample(x, {probeStream, static_cast<std::uint64_t>(i)}));
-  }
+  const stats::Welford w =
+      foldEvalChunks(sampleEvalChunks(objective, {x, probeStream, 0, samples}));
   const double dt = objective.sampleDuration();
   NoiseProbe probe;
   probe.meanEstimate = w.mean();

@@ -7,6 +7,10 @@
 #include "simd/dispatch.hpp"
 #include "stats/welford.hpp"
 
+namespace sfopt::noise {
+class StochasticObjective;
+}
+
 namespace sfopt::core {
 
 /// Canonical evaluation chunk size (samples).  Backends report batch
@@ -32,6 +36,11 @@ namespace sfopt::core {
 ///     are a pure function of (samples, active ISA).
 ///  2. Batch fold: foldEvalChunks() merges a batch's chunk moments
 ///     left-to-right in chunk-index order.
+///
+/// Every run mode draws its samples through sampleEvalChunks() (below) and
+/// cuts batches across shards or clients with splitEvalChunks(), so the
+/// inline path, every backend and every worker-side client pool produce
+/// the same chunks, and the same folded moments, bit for bit.
 inline constexpr std::int64_t kEvalChunkSamples = 64;
 
 /// Number of chunks a batch of `count` samples decomposes into.
@@ -57,10 +66,10 @@ inline constexpr std::int64_t kEvalChunkSamples = 64;
 
 /// Where the raw objective samples are computed.
 ///
-/// The default (no backend) computes samples inline on the calling thread.
-/// A backend is a ticketed evaluation fabric: submit() hands a batch over
-/// and returns immediately; poll() delivers whatever completed since the
-/// last call.  Results arrive as canonical chunk moments (see
+/// The default (no backend) draws them inline on the calling thread with
+/// sampleEvalChunks().  A backend is a ticketed evaluation fabric:
+/// submit() hands a batch over and returns immediately; poll() delivers
+/// whatever completed since the last call.  Results arrive as canonical chunk moments (see
 /// kEvalChunkSamples), never pre-merged, so the caller (EvalScheduler)
 /// owns the merge order.  Submitted batches may complete in any order.
 /// Because every sample is keyed by (vertexId, sampleIndex) through the
@@ -100,5 +109,19 @@ class SamplingBackend {
   /// backstop, not the detector: transports report dead workers first.
   [[nodiscard]] virtual double silenceTimeoutSeconds() const = 0;
 };
+
+/// Cut `request` into `parts` contiguous, chunk-aligned requests: whole
+/// chunks are handed out in order and the first (chunks % parts) parts
+/// take one extra chunk, so only the last loaded part can end on a partial
+/// chunk.  Parts past the chunk count are empty (count 0).  Concatenating
+/// the parts' sampleEvalChunks() results in order gives the request's own.
+[[nodiscard]] std::vector<SamplingBackend::BatchRequest> splitEvalChunks(
+    const SamplingBackend::BatchRequest& request, std::int64_t parts);
+
+/// Draw `request`'s samples from `objective` and return their canonical
+/// chunk moments, in index order (chunks are relative to
+/// request.startIndex).  THE sampling loop: every run mode goes through it.
+[[nodiscard]] std::vector<stats::Welford> sampleEvalChunks(
+    const noise::StochasticObjective& objective, const SamplingBackend::BatchRequest& request);
 
 }  // namespace sfopt::core

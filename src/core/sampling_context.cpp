@@ -40,20 +40,8 @@ std::unique_ptr<Vertex> SamplingContext::createVertex(Point x, std::int64_t init
 std::int64_t SamplingContext::refine(Vertex& v, std::int64_t extra) {
   if (extra < 0) throw std::invalid_argument("SamplingContext::refine: negative count");
   const std::int64_t room = options_.maxSamplesPerVertex - v.sampleCount();
-  const std::int64_t take = std::min(extra, std::max<std::int64_t>(room, 0));
-  if (take == 0) return 0;
-  const SamplingBackend::BatchRequest req{v.point(), v.id(),
-                                          static_cast<std::uint64_t>(v.sampleCount()), take};
-  if (scheduler_ != nullptr) {
-    v.absorb(scheduler_->evaluate({&req, 1}).front());
-  } else {
-    for (std::int64_t i = 0; i < take; ++i) {
-      const noise::SampleKey key{v.id(), static_cast<std::uint64_t>(v.sampleCount())};
-      v.absorb(objective_.sample(v.point(), key));
-    }
-  }
-  totalSamples_ += take;
-  return take;
+  const CoalescedRequest request{&v, std::min(extra, std::max<std::int64_t>(room, 0))};
+  return sampleAndAbsorb({&request, 1}, {});
 }
 
 std::vector<SamplingContext::CoalescedRequest> SamplingContext::coalesce(
@@ -87,73 +75,75 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests) {
 
 void SamplingContext::coSample(std::span<const RefineRequest> requests,
                                std::span<const RefineRequest> nextRoundHint) {
-  const std::vector<CoalescedRequest> coal = coalesce(requests);
-  std::int64_t maxTaken = 0;
+  chargeTime(sampleAndAbsorb(coalesce(requests), nextRoundHint));
+}
 
+std::int64_t SamplingContext::sampleAndAbsorb(std::span<const CoalescedRequest> coal,
+                                              std::span<const RefineRequest> nextRoundHint) {
+  // One request per vertex; a backend runs them concurrently (the d+3
+  // workers sampling their vertices at once).  Capped vertices (take == 0)
+  // are skipped: a zero-count batch would cost a wire round trip for
+  // nothing.
+  std::vector<SamplingBackend::BatchRequest> batch;
+  batch.reserve(coal.size());
+  for (const CoalescedRequest& c : coal) {
+    if (c.take == 0) continue;
+    const Vertex& v = *c.vertex;
+    batch.push_back({v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()), c.take});
+  }
+  // The one fork: who computes the canonical chunks.  Either way each
+  // result is foldEvalChunks of sampleEvalChunks, so solo and every
+  // backend absorb the same moments bit for bit.
+  std::vector<stats::Welford> results;
   if (scheduler_ != nullptr) {
-    // Dispatch the whole batch so the backend can run it concurrently
-    // (this models the d+3 workers sampling their vertices at once).
-    // Capped vertices (take == 0) never leave the master: a zero-count
-    // batch would waste a wire round trip to compute nothing.
-    std::vector<SamplingBackend::BatchRequest> batch;
-    std::vector<std::size_t> batchSlot;  // index into coal per batch entry
-    batch.reserve(coal.size());
-    batchSlot.reserve(coal.size());
-    for (std::size_t i = 0; i < coal.size(); ++i) {
-      if (coal[i].take == 0) continue;
-      const Vertex& v = *coal[i].vertex;
-      batch.push_back({v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()),
-                       coal[i].take});
-      batchSlot.push_back(i);
-    }
-    std::vector<SamplingBackend::BatchRequest> hintBatch;
-    if (options_.speculate) {
-      // Predict each hinted vertex's future start index: its current count
-      // plus whatever this round is about to take at it.
-      std::unordered_map<const Vertex*, std::int64_t> currentTake;
-      for (const CoalescedRequest& c : coal) currentTake.emplace(c.vertex, c.take);
-      std::unordered_map<const Vertex*, std::int64_t> hintSum;
-      std::vector<Vertex*> hintOrder;
-      for (const RefineRequest& h : nextRoundHint) {
-        if (h.vertex == nullptr || h.samples <= 0) continue;
-        const auto [it, fresh] = hintSum.emplace(h.vertex, h.samples);
-        if (fresh) {
-          hintOrder.push_back(h.vertex);
-        } else {
-          it->second += h.samples;
-        }
-      }
-      hintBatch.reserve(hintOrder.size());
-      for (Vertex* v : hintOrder) {
-        const auto t = currentTake.find(v);
-        const std::int64_t future =
-            v->sampleCount() + (t != currentTake.end() ? t->second : 0);
-        const std::int64_t room = options_.maxSamplesPerVertex - future;
-        const std::int64_t take =
-            std::min(hintSum.at(v), std::max<std::int64_t>(room, 0));
-        if (take == 0) continue;
-        hintBatch.push_back({v->point(), v->id(), static_cast<std::uint64_t>(future), take});
-      }
-    }
-    const std::vector<stats::Welford> results = scheduler_->evaluate(batch, hintBatch);
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const std::size_t i = batchSlot[b];
-      coal[i].vertex->absorb(results[b]);
-      totalSamples_ += coal[i].take;
-      maxTaken = std::max(maxTaken, coal[i].take);
-    }
+    results = scheduler_->evaluate(batch, speculativeBatch(coal, nextRoundHint));
   } else {
-    for (const CoalescedRequest& c : coal) {
-      Vertex& v = *c.vertex;
-      for (std::int64_t i = 0; i < c.take; ++i) {
-        const noise::SampleKey key{v.id(), static_cast<std::uint64_t>(v.sampleCount())};
-        v.absorb(objective_.sample(v.point(), key));
-      }
-      totalSamples_ += c.take;
-      maxTaken = std::max(maxTaken, c.take);
+    results.reserve(batch.size());
+    for (const SamplingBackend::BatchRequest& r : batch) {
+      results.push_back(foldEvalChunks(sampleEvalChunks(objective_, r)));
     }
   }
-  chargeTime(maxTaken);
+  std::int64_t maxTaken = 0;
+  std::size_t b = 0;
+  for (const CoalescedRequest& c : coal) {
+    if (c.take == 0) continue;
+    c.vertex->absorb(results[b++]);
+    totalSamples_ += c.take;
+    maxTaken = std::max(maxTaken, c.take);
+  }
+  return maxTaken;
+}
+
+std::vector<SamplingBackend::BatchRequest> SamplingContext::speculativeBatch(
+    std::span<const CoalescedRequest> coal,
+    std::span<const RefineRequest> nextRoundHint) const {
+  std::vector<SamplingBackend::BatchRequest> hintBatch;
+  if (!options_.speculate) return hintBatch;
+  // Predict each hinted vertex's future start index: its current count
+  // plus whatever this round is about to take at it.
+  std::unordered_map<const Vertex*, std::int64_t> currentTake;
+  for (const CoalescedRequest& c : coal) currentTake.emplace(c.vertex, c.take);
+  std::unordered_map<const Vertex*, std::int64_t> hintSum;
+  std::vector<Vertex*> hintOrder;
+  for (const RefineRequest& h : nextRoundHint) {
+    if (h.vertex == nullptr || h.samples <= 0) continue;
+    const auto [it, fresh] = hintSum.emplace(h.vertex, h.samples);
+    if (fresh) {
+      hintOrder.push_back(h.vertex);
+    } else {
+      it->second += h.samples;
+    }
+  }
+  hintBatch.reserve(hintOrder.size());
+  for (Vertex* v : hintOrder) {
+    const auto t = currentTake.find(v);
+    const std::int64_t future = v->sampleCount() + (t != currentTake.end() ? t->second : 0);
+    const std::int64_t room = options_.maxSamplesPerVertex - future;
+    const std::int64_t take = std::min(hintSum.at(v), std::max<std::int64_t>(room, 0));
+    if (take == 0) continue;
+    hintBatch.push_back({v->point(), v->id(), static_cast<std::uint64_t>(future), take});
+  }
+  return hintBatch;
 }
 
 void SamplingContext::coSample(std::initializer_list<RefineRequest> requests) {

@@ -146,6 +146,18 @@ class SamplingContext {
   [[nodiscard]] std::vector<CoalescedRequest> coalesce(
       std::span<const RefineRequest> requests) const;
 
+  /// Sample every coalesced request, absorb the results into the vertices
+  /// and count the samples.  Returns the largest take (the batch's clock
+  /// charge under the concurrent-workers model).
+  std::int64_t sampleAndAbsorb(std::span<const CoalescedRequest> coal,
+                               std::span<const RefineRequest> nextRoundHint);
+
+  /// The hinted next round as batch requests, for a speculating scheduler
+  /// (empty when not speculating).
+  [[nodiscard]] std::vector<SamplingBackend::BatchRequest> speculativeBatch(
+      std::span<const CoalescedRequest> coal,
+      std::span<const RefineRequest> nextRoundHint) const;
+
   const noise::StochasticObjective& objective_;
   Options options_;
   noise::VirtualClock clock_;

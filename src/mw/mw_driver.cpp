@@ -181,7 +181,6 @@ void MWDriver::observeIdleFraction() {
 }
 
 void MWDriver::handleMessage(Message msg) {
-  ++messagesHandled_;
   if (msg.tag == kTagResult) {
     const std::uint64_t id = msg.payload.unpackUint64();
     growTo(msg.source + 1);
@@ -372,25 +371,6 @@ std::vector<MWDriver::Completion> MWDriver::poll(double timeoutSeconds) {
     maybeSpeculate();
   }
   return std::exchange(ready_, {});
-}
-
-std::vector<MWDriver::Completion> MWDriver::drain() {
-  std::vector<Completion> all = std::exchange(ready_, {});
-  while (!tasks_.empty()) {
-    // A window may yield no completions yet still make progress: an error
-    // or worker-lost message requeues the task mid-window.  Only a window
-    // with no messages at all means the fabric is silent; a just-requeued
-    // task gets a fresh window.
-    const std::uint64_t before = messagesHandled_;
-    auto got = poll(recvTimeoutSeconds_);
-    if (got.empty() && messagesHandled_ == before && !tasks_.empty()) {
-      throw std::runtime_error(
-          "MWDriver: no worker message for " + std::to_string(recvTimeoutSeconds_) + "s with " +
-          std::to_string(tasks_.size()) + " task(s) outstanding");
-    }
-    for (auto& c : got) all.push_back(std::move(c));
-  }
-  return all;
 }
 
 void MWDriver::shutdown() {

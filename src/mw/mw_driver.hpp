@@ -46,11 +46,11 @@ class MWDriver {
   /// Non-blocking dispatch: submit() enqueues one task (dispatching it
   /// immediately when a worker is free) and returns its id; poll() waits
   /// up to `timeoutSeconds` for at least one completion (0 = drain only)
-  /// and returns everything finished so far; drain() blocks until nothing
-  /// is outstanding.  Completions arrive in completion order, not submit
-  /// order.  A task whose worker fails or is lost is re-dispatched
-  /// transparently; poll() and drain() throw when a task exhausts its
-  /// retry budget or every worker is lost.
+  /// and returns everything finished so far.  Completions arrive in
+  /// completion order, not submit order.  A task whose worker fails or is
+  /// lost is re-dispatched transparently; poll() throws when a task
+  /// exhausts its retry budget or every worker is lost.  Waiting out a
+  /// batch, with its silence backstop, is the EvalScheduler's job.
   ///
   /// `trace`, when nonzero, is used verbatim as the distributed trace id
   /// stamped on the task's spans and wire messages (0 keeps the legacy
@@ -62,8 +62,6 @@ class MWDriver {
   /// supplying traces are responsible for their uniqueness.
   [[nodiscard]] std::uint64_t submit(MessageBuffer input, std::uint64_t trace = 0);
   [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds);
-  /// Throws when no worker message arrives within the receive timeout.
-  [[nodiscard]] std::vector<Completion> drain();
 
   /// Tasks submitted but not yet completed (pending + in flight).
   [[nodiscard]] std::size_t outstanding() const noexcept { return tasks_.size(); }
@@ -89,8 +87,8 @@ class MWDriver {
   [[nodiscard]] int maxRetries() const noexcept { return maxRetries_; }
 
   /// Longest silence tolerated while tasks are in flight before the run
-  /// is declared wedged: drain() throws past it, and MWSamplingBackend
-  /// hands it to the EvalScheduler as its silence window.  Generous
+  /// is declared wedged: MWSamplingBackend hands it to the EvalScheduler
+  /// as its silence window.  Generous
   /// default: transports already convert dead workers into kTagWorkerLost
   /// well before this fires; it is the backstop, not the detector.
   void setRecvTimeout(double seconds) { recvTimeoutSeconds_ = seconds; }
@@ -194,9 +192,6 @@ class MWDriver {
   std::uint64_t speculativeDiscards_ = 0;
   std::uint64_t staleResultsDiscarded_ = 0;
   std::vector<Completion> ready_;
-  /// Every worker message handled, completions or not; drain() uses it to
-  /// tell "backend silent" from "recovery in progress".
-  std::uint64_t messagesHandled_ = 0;
 
   /// Pre-registered handles; all non-null exactly when telemetry_ is set.
   telemetry::Telemetry* telemetry_ = nullptr;

@@ -12,35 +12,9 @@
 
 namespace sfopt::mw {
 
-namespace {
-
-/// Copy the options with the backend plugged in, then dispatch to the
-/// matching algorithm entry point.
-core::OptimizationResult dispatch(const noise::StochasticObjective& objective,
-                                  std::span<const core::Point> initial,
-                                  AlgorithmOptions options, core::SamplingBackend* backend) {
-  return std::visit(
-      [&](auto opts) {
-        opts.common.sampling.backend = backend;
-        using T = std::decay_t<decltype(opts)>;
-        if constexpr (std::is_same_v<T, core::DetOptions>) {
-          return core::runDeterministic(objective, initial, opts);
-        } else if constexpr (std::is_same_v<T, core::MaxNoiseOptions>) {
-          return core::runMaxNoise(objective, initial, opts);
-        } else if constexpr (std::is_same_v<T, core::AndersonOptions>) {
-          return core::runAnderson(objective, initial, opts);
-        } else {
-          return core::runPointToPoint(objective, initial, opts);
-        }
-      },
-      std::move(options));
-}
-
-}  // namespace
-
 MWRunResult runSimplexOverTransport(const noise::StochasticObjective& objective,
                                     std::span<const core::Point> initial,
-                                    const AlgorithmOptions& options, net::Transport& comm,
+                                    const core::AlgorithmOptions& options, net::Transport& comm,
                                     const MWRunConfig& config) {
   if (config.clientsPerWorker < 1) {
     throw std::invalid_argument("runSimplexOverTransport: clientsPerWorker must be >= 1");
@@ -52,7 +26,9 @@ MWRunResult runSimplexOverTransport(const noise::StochasticObjective& objective,
     driver.setRecvTimeout(config.recvTimeoutSeconds);
     MWSamplingBackend backend(driver);
     const auto t0 = std::chrono::steady_clock::now();
-    out.optimization = dispatch(objective, initial, options, &backend);
+    core::AlgorithmOptions withBackend = options;
+    core::commonOptions(withBackend).sampling.backend = &backend;
+    out.optimization = core::runSimplex(objective, initial, withBackend);
     const auto t1 = std::chrono::steady_clock::now();
     out.masterWallSeconds = std::chrono::duration<double>(t1 - t0).count();
     driver.shutdown();
@@ -69,7 +45,7 @@ MWRunResult runSimplexOverTransport(const noise::StochasticObjective& objective,
 
 MWRunResult runSimplexOverMW(const noise::StochasticObjective& objective,
                              std::span<const core::Point> initial,
-                             const AlgorithmOptions& options, const MWRunConfig& config) {
+                             const core::AlgorithmOptions& options, const MWRunConfig& config) {
   const auto d = static_cast<std::int64_t>(objective.dimension());
   const int workers =
       config.workers > 0 ? config.workers : static_cast<int>(d) + 3;

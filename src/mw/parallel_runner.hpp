@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <variant>
 
 #include "core/algorithms.hpp"
 #include "mw/processor_allocation.hpp"
@@ -13,10 +12,6 @@ class Transport;
 }
 
 namespace sfopt::mw {
-
-/// Any of the four simplex variants, selected by its options type.
-using AlgorithmOptions = std::variant<core::DetOptions, core::MaxNoiseOptions,
-                                      core::AndersonOptions, core::PCOptions>;
 
 /// Shape of the master-worker deployment.
 struct MWRunConfig {
@@ -55,7 +50,7 @@ struct MWRunResult {
 /// same options (counter-based noise), which the integration tests verify.
 [[nodiscard]] MWRunResult runSimplexOverMW(const noise::StochasticObjective& objective,
                                            std::span<const core::Point> initial,
-                                           const AlgorithmOptions& options,
+                                           const core::AlgorithmOptions& options,
                                            const MWRunConfig& config = {});
 
 /// The master half of runSimplexOverMW over an already-populated
@@ -67,7 +62,7 @@ struct MWRunResult {
 /// counter-based and the wire encoding is byte-exact.
 [[nodiscard]] MWRunResult runSimplexOverTransport(const noise::StochasticObjective& objective,
                                                   std::span<const core::Point> initial,
-                                                  const AlgorithmOptions& options,
+                                                  const core::AlgorithmOptions& options,
                                                   net::Transport& comm,
                                                   const MWRunConfig& config = {});
 

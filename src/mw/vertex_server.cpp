@@ -1,7 +1,5 @@
 #include "mw/vertex_server.hpp"
 
-#include <algorithm>
-#include <array>
 #include <stdexcept>
 
 namespace sfopt::mw {
@@ -11,10 +9,8 @@ VertexServer::VertexServer(const noise::StochasticObjective& objective, int clie
   if (clients < 1) throw std::invalid_argument("VertexServer: clients must be >= 1");
   const auto n = static_cast<std::size_t>(clients);
   jobs_.resize(n);
-  partials_.resize(n);
   partialChunks_.resize(n);
   clientSamples_.assign(n, 0);
-  clientGeneration_.assign(n, 0);
   clients_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     clients_.emplace_back([this, i] { clientLoop(i); });
@@ -30,70 +26,17 @@ VertexServer::~VertexServer() {
   for (auto& t : clients_) t.join();
 }
 
-stats::Welford VertexServer::runBatch(const core::SamplingBackend::BatchRequest& request) {
-  if (request.count < 0) throw std::invalid_argument("VertexServer::runBatch: negative count");
-  const auto n = clients_.size();
-  {
-    std::unique_lock lock(mutex_);
-    // Split into contiguous index ranges; the first (count % n) clients
-    // take one extra sample.
-    const std::int64_t base = request.count / static_cast<std::int64_t>(n);
-    const std::int64_t extra = request.count % static_cast<std::int64_t>(n);
-    std::uint64_t index = request.startIndex;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t take = base + (static_cast<std::int64_t>(i) < extra ? 1 : 0);
-      jobs_[i] = ClientJob{{request.x.begin(), request.x.end()}, request.vertexId, index, take};
-      partials_[i].reset();
-      index += static_cast<std::uint64_t>(take);
-    }
-    ++generation_;
-    remaining_ = static_cast<int>(n);
-    jobReady_.notify_all();
-    jobDone_.wait(lock, [this] { return remaining_ == 0; });
-    stats::Welford merged;
-    for (const auto& p : partials_) merged.merge(p);
-    return merged;
-  }
-}
-
 std::vector<stats::Welford> VertexServer::runBatchChunks(
     const core::SamplingBackend::BatchRequest& request) {
-  if (request.count < 0) {
-    throw std::invalid_argument("VertexServer::runBatchChunks: negative count");
-  }
   if (request.count == 0) return {};
-  const auto n = static_cast<std::int64_t>(clients_.size());
-  const std::int64_t totalChunks = core::evalChunkCount(request.count);
   std::unique_lock lock(mutex_);
-  // Hand out whole chunks contiguously; the first (totalChunks % n)
-  // clients take one extra chunk.  Only the batch's final chunk can be
-  // partial, and it always lands at the end of the last loaded client.
-  const std::int64_t base = totalChunks / n;
-  const std::int64_t extra = totalChunks % n;
-  std::int64_t chunkFirst = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t myChunks = base + (i < extra ? 1 : 0);
-    const std::int64_t sampleOffset = chunkFirst * core::kEvalChunkSamples;
-    const std::int64_t myCount =
-        myChunks == 0
-            ? 0
-            : std::min(myChunks * core::kEvalChunkSamples, request.count - sampleOffset);
-    jobs_[static_cast<std::size_t>(i)] =
-        ClientJob{{request.x.begin(), request.x.end()},
-                  request.vertexId,
-                  request.startIndex + static_cast<std::uint64_t>(sampleOffset),
-                  myCount,
-                  /*chunked=*/true};
-    partialChunks_[static_cast<std::size_t>(i)].clear();
-    partials_[static_cast<std::size_t>(i)].reset();
-    chunkFirst += myChunks;
-  }
+  jobs_ = core::splitEvalChunks(request, static_cast<std::int64_t>(clients_.size()));
   ++generation_;
-  remaining_ = static_cast<int>(n);
+  remaining_ = static_cast<int>(clients_.size());
   jobReady_.notify_all();
   jobDone_.wait(lock, [this] { return remaining_ == 0; });
   std::vector<stats::Welford> chunks;
-  chunks.reserve(static_cast<std::size_t>(totalChunks));
+  chunks.reserve(static_cast<std::size_t>(core::evalChunkCount(request.count)));
   for (const auto& part : partialChunks_) {
     chunks.insert(chunks.end(), part.begin(), part.end());
   }
@@ -103,7 +46,7 @@ std::vector<stats::Welford> VertexServer::runBatchChunks(
 void VertexServer::clientLoop(std::size_t clientIndex) {
   std::uint64_t seen = 0;
   for (;;) {
-    ClientJob job;
+    core::SamplingBackend::BatchRequest job;
     {
       std::unique_lock lock(mutex_);
       jobReady_.wait(lock, [&] { return stopping_ || generation_ > seen; });
@@ -112,37 +55,10 @@ void VertexServer::clientLoop(std::size_t clientIndex) {
       job = jobs_[clientIndex];
     }
     // The "simulation": sample the objective outside the lock.
-    stats::Welford partial;
-    std::vector<stats::Welford> chunkPartials;
-    if (job.chunked) {
-      std::int64_t remaining = job.count;
-      std::uint64_t index = job.startIndex;
-      std::array<double, core::kEvalChunkSamples> buffer;
-      while (remaining > 0) {
-        const std::int64_t take = std::min(remaining, core::kEvalChunkSamples);
-        for (std::int64_t i = 0; i < take; ++i) {
-          const noise::SampleKey key{job.vertexId, index + static_cast<std::uint64_t>(i)};
-          buffer[static_cast<std::size_t>(i)] = objective_.sample(job.x, key);
-        }
-        // Canonical chunk-interior accumulation (SIMD-dispatched): the
-        // chunk's moments depend only on its sample stream, never on
-        // which client or worker computed it.
-        chunkPartials.push_back(core::accumulateEvalChunk(
-            {buffer.data(), static_cast<std::size_t>(take)}));
-        index += static_cast<std::uint64_t>(take);
-        remaining -= take;
-      }
-    } else {
-      for (std::int64_t i = 0; i < job.count; ++i) {
-        const noise::SampleKey key{job.vertexId,
-                                   job.startIndex + static_cast<std::uint64_t>(i)};
-        partial.add(objective_.sample(job.x, key));
-      }
-    }
+    std::vector<stats::Welford> chunks = core::sampleEvalChunks(objective_, job);
     {
       std::lock_guard lock(mutex_);
-      partials_[clientIndex] = partial;
-      partialChunks_[clientIndex] = std::move(chunkPartials);
+      partialChunks_[clientIndex] = std::move(chunks);
       clientSamples_[clientIndex] += job.count;
       if (--remaining_ == 0) jobDone_.notify_all();
     }

@@ -20,8 +20,10 @@ namespace sfopt::mw {
 /// end of each simulation."
 ///
 /// Here clients are persistent threads fed through a small work queue;
-/// a sampling batch is split into Ns contiguous index ranges so results
-/// are independent of scheduling (counter-based RNG keys).
+/// a sampling batch is split into Ns contiguous, chunk-aligned index ranges
+/// (core::splitEvalChunks), and each client draws its range through
+/// core::sampleEvalChunks, so results are independent of scheduling
+/// (counter-based RNG keys) and of the client count.
 class VertexServer {
  public:
   VertexServer(const noise::StochasticObjective& objective, int clients);
@@ -30,16 +32,11 @@ class VertexServer {
   VertexServer(const VertexServer&) = delete;
   VertexServer& operator=(const VertexServer&) = delete;
 
-  /// Run one sampling batch across the client pool and merge the partial
-  /// statistics.  Blocking; safe to call repeatedly.
-  [[nodiscard]] stats::Welford runBatch(const core::SamplingBackend::BatchRequest& request);
-
   /// Run one sampling batch and return its canonical per-chunk moments
   /// (see core::kEvalChunkSamples): whole chunks are handed out
-  /// contiguously across the Ns clients, so chunk j is always the same
-  /// 64-sample add-stream no matter how many clients computed the batch —
-  /// the master's canonical chunk fold is then bitwise independent of
-  /// every deployment knob.  Blocking; safe to call repeatedly.
+  /// contiguously across the Ns clients, so the result is exactly
+  /// core::sampleEvalChunks(objective, request) no matter how many clients
+  /// computed the batch.  Blocking; safe to call repeatedly.
   [[nodiscard]] std::vector<stats::Welford> runBatchChunks(
       const core::SamplingBackend::BatchRequest& request);
 
@@ -49,16 +46,6 @@ class VertexServer {
   [[nodiscard]] std::vector<std::int64_t> clientSampleCounts() const;
 
  private:
-  struct ClientJob {
-    std::vector<double> x;
-    std::uint64_t vertexId = 0;
-    std::uint64_t startIndex = 0;
-    std::int64_t count = 0;
-    /// Chunked batches report per-chunk moments instead of one partial;
-    /// startIndex is chunk-aligned relative to the batch by construction.
-    bool chunked = false;
-  };
-
   void clientLoop(std::size_t clientIndex);
 
   const noise::StochasticObjective& objective_;
@@ -67,12 +54,12 @@ class VertexServer {
   std::condition_variable jobReady_;
   std::condition_variable jobDone_;
   // One job slot per client per batch; generation counter sequences batches.
-  std::vector<ClientJob> jobs_;
-  std::vector<stats::Welford> partials_;
+  // A job's point is a view of the caller's request, which runBatchChunks
+  // keeps alive until every client has finished.
+  std::vector<core::SamplingBackend::BatchRequest> jobs_;
   std::vector<std::vector<stats::Welford>> partialChunks_;
   std::vector<std::int64_t> clientSamples_;
   std::uint64_t generation_ = 0;
-  std::vector<std::uint64_t> clientGeneration_;
   int remaining_ = 0;
   bool stopping_ = false;
 

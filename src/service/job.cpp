@@ -129,36 +129,29 @@ void JobSpec::validate() const {
   }
 }
 
-mw::AlgorithmOptions JobSpec::makeOptions() const {
-  mw::AlgorithmOptions options;
+core::AlgorithmOptions JobSpec::makeOptions() const {
+  core::AlgorithmOptions options;
   if (algorithm == "det") {
-    core::DetOptions o;
-    o.common.termination = termination;
-    options = o;
+    options = core::DetOptions{};
   } else if (algorithm == "mn") {
     core::MaxNoiseOptions o;
     o.k = k;
-    o.common.termination = termination;
     options = o;
   } else if (algorithm == "anderson") {
     core::AndersonOptions o;
     o.k1 = k1;
     o.k2 = k2;
-    o.common.termination = termination;
     options = o;
   } else {
     core::PCOptions o;
     o.k = k;
     o.maxNoiseGate = algorithm == "pcmn";
-    o.common.termination = termination;
     options = o;
   }
-  std::visit(
-      [&](auto& o) {
-        o.common.sampling.shardMinSamples = shardMinSamples;
-        o.common.sampling.speculate = speculate;
-      },
-      options);
+  core::CommonOptions& common = core::commonOptions(options);
+  common.termination = termination;
+  common.sampling.shardMinSamples = shardMinSamples;
+  common.sampling.speculate = speculate;
   return options;
 }
 

@@ -5,12 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "core/algorithms.hpp"
 #include "core/point.hpp"
 #include "core/result.hpp"
 #include "core/sampling_backend.hpp"
 #include "core/termination.hpp"
 #include "mw/message_buffer.hpp"
-#include "mw/parallel_runner.hpp"
 #include "noise/noisy_function.hpp"
 
 namespace sfopt::service {
@@ -77,7 +77,7 @@ struct JobSpec {
 
   /// Build the engine options this spec describes (no backend/telemetry
   /// attached yet; the job runner plugs those in).
-  [[nodiscard]] mw::AlgorithmOptions makeOptions() const;
+  [[nodiscard]] core::AlgorithmOptions makeOptions() const;
 };
 
 /// Lifecycle of a job inside the daemon, plus the two wire-only codes

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
-#include <variant>
 
 #include "core/algorithms.hpp"
 #include "mw/sampling_service.hpp"
@@ -565,40 +564,24 @@ void OptimizationService::jobMain(std::uint64_t id, JobSpec spec,
   try {
     const noise::NoisyFunction objective = spec.objective.makeObjective();
     ExchangeBackend backend(exchange_, id, spec.objective, opts_.recvTimeoutSeconds);
-    mw::AlgorithmOptions options = spec.makeOptions();
-    std::visit(
-        [&](auto& o) {
-          o.common.sampling.backend = &backend;
-          o.common.telemetry = opts_.telemetry;
-          if (resume) o.common.resumeFrom = &*resume;
-          if (durable_ != nullptr && opts_.checkpointInterval > 0) {
-            o.common.checkpointEvery = opts_.checkpointInterval;
-            o.common.checkpointSink = [this, id](const core::SimplexCheckpoint& cp) {
-              try {
-                durable_->writeJobCheckpoint(id, cp);
-                if (checkpointsWritten_ != nullptr) checkpointsWritten_->add(1);
-              } catch (const std::exception&) {
-                // A failed snapshot only narrows the resume window; the
-                // journal still replays the job from its initial simplex.
-              }
-            };
-          }
-        },
-        options);
-    const core::OptimizationResult res = std::visit(
-        [&](const auto& o) -> core::OptimizationResult {
-          using T = std::decay_t<decltype(o)>;
-          if constexpr (std::is_same_v<T, core::DetOptions>) {
-            return core::runDeterministic(objective, spec.initial, o);
-          } else if constexpr (std::is_same_v<T, core::MaxNoiseOptions>) {
-            return core::runMaxNoise(objective, spec.initial, o);
-          } else if constexpr (std::is_same_v<T, core::AndersonOptions>) {
-            return core::runAnderson(objective, spec.initial, o);
-          } else {
-            return core::runPointToPoint(objective, spec.initial, o);
-          }
-        },
-        options);
+    core::AlgorithmOptions options = spec.makeOptions();
+    core::CommonOptions& common = core::commonOptions(options);
+    common.sampling.backend = &backend;
+    common.telemetry = opts_.telemetry;
+    if (resume) common.resumeFrom = &*resume;
+    if (durable_ != nullptr && opts_.checkpointInterval > 0) {
+      common.checkpointEvery = opts_.checkpointInterval;
+      common.checkpointSink = [this, id](const core::SimplexCheckpoint& cp) {
+        try {
+          durable_->writeJobCheckpoint(id, cp);
+          if (checkpointsWritten_ != nullptr) checkpointsWritten_->add(1);
+        } catch (const std::exception&) {
+          // A failed snapshot only narrows the resume window; the
+          // journal still replays the job from its initial simplex.
+        }
+      };
+    }
+    const core::OptimizationResult res = core::runSimplex(objective, spec.initial, options);
     f.record.state = JobState::Done;
     f.record.outcome = JobOutcome::fromResult(res);
   } catch (const JobAborted& e) {

@@ -66,9 +66,16 @@ class FakeAsyncBackend final : public SamplingBackend {
     return ticket;
   }
 
-  std::vector<Completion> poll(double) override {
+  std::vector<Completion> poll(double timeoutSeconds) override {
+    ++polls;
     std::vector<Completion> out;
-    if (holdCompletions) return out;
+    if (holdCompletions) {
+      // A silent fabric blocks for the whole window, as the real backends
+      // do (MWDriver::poll in recvFor, TicketExchange::poll on its
+      // condition variable); answering at once would make collect spin.
+      std::this_thread::sleep_for(std::chrono::duration<double>(timeoutSeconds));
+      return out;
+    }
     if (pollDelaySeconds > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(pollDelaySeconds));
     }
@@ -93,6 +100,7 @@ class FakeAsyncBackend final : public SamplingBackend {
   [[nodiscard]] double silenceTimeoutSeconds() const override { return silenceSeconds; }
 
   std::vector<Recorded> recorded;
+  std::size_t polls = 0;
   std::size_t perPoll = 0;      ///< completions per poll; 0 = all at once
   bool holdCompletions = false; ///< simulate a silent fabric
   double pollDelaySeconds = 0.0;  ///< simulate a slow fabric
@@ -333,6 +341,9 @@ TEST(EvalScheduler, TimesOutWhenBackendGoesSilent) {
   EvalScheduler sched(backend, {});
   const SamplingBackend::BatchRequest req{{}, 1, 0, 64};
   EXPECT_THROW((void)sched.evaluate({&req, 1}), std::runtime_error);
+  // collect hands the backend the remaining window instead of polling in
+  // a tight loop: a blocking backend is asked once or twice, not spun.
+  EXPECT_LE(backend.polls, 3u);
 }
 
 TEST(EvalScheduler, RegistersEvalMetrics) {

@@ -159,4 +159,69 @@ TEST(SamplingContext, NegativeRefineThrows) {
   EXPECT_THROW((void)ctx.refine(*v, -1), std::invalid_argument);
 }
 
+TEST(EvalChunks, SplitIsContiguousChunkAlignedAndFrontLoaded) {
+  const std::vector<double> x{0.0};
+  // 7 chunks (the last one partial) over 3 parts: 3, 2, 2 chunks.
+  const core::SamplingBackend::BatchRequest req{x, 4, 100, 6 * 64 + 10};
+  const auto parts = core::splitEvalChunks(req, 3);
+  ASSERT_EQ(parts.size(), 3u);
+  EXPECT_EQ(parts[0].startIndex, 100u);
+  EXPECT_EQ(parts[0].count, 192);
+  EXPECT_EQ(parts[1].startIndex, 292u);
+  EXPECT_EQ(parts[1].count, 128);
+  EXPECT_EQ(parts[2].startIndex, 420u);
+  EXPECT_EQ(parts[2].count, 74);
+  for (const auto& p : parts) EXPECT_EQ(p.vertexId, 4u);
+
+  // More parts than chunks: the extra parts are empty.
+  const auto sparse = core::splitEvalChunks({x, 4, 0, 70}, 4);
+  ASSERT_EQ(sparse.size(), 4u);
+  EXPECT_EQ(sparse[0].count, 64);
+  EXPECT_EQ(sparse[1].count, 6);
+  EXPECT_EQ(sparse[2].count, 0);
+  EXPECT_EQ(sparse[3].count, 0);
+
+  EXPECT_THROW((void)core::splitEvalChunks({x, 4, 0, -1}, 2), std::invalid_argument);
+  EXPECT_THROW((void)core::splitEvalChunks(req, 0), std::invalid_argument);
+}
+
+TEST(EvalChunks, SamplerAccumulatesEachChunkOfTheKeyedStream) {
+  auto obj = test::noisySphere(2, 3.0);
+  const std::vector<double> x{0.5, -1.5};
+  const core::SamplingBackend::BatchRequest req{x, 8, 40, 150};
+  const auto chunks = core::sampleEvalChunks(obj, req);
+  ASSERT_EQ(chunks.size(), 3u);  // 64, 64, 22
+  std::uint64_t index = req.startIndex;
+  for (const auto& chunk : chunks) {
+    std::vector<double> samples;
+    for (std::int64_t i = 0; i < chunk.count(); ++i) {
+      samples.push_back(obj.sample(x, {8, index++}));
+    }
+    EXPECT_TRUE(test::sameMoments(chunk, core::accumulateEvalChunk(samples)));
+  }
+  EXPECT_EQ(index, req.startIndex + 150);
+  // Concatenating the parts of any split reproduces the whole batch.
+  std::vector<stats::Welford> joined;
+  for (const auto& part : core::splitEvalChunks(req, 2)) {
+    const auto c = core::sampleEvalChunks(obj, part);
+    joined.insert(joined.end(), c.begin(), c.end());
+  }
+  EXPECT_TRUE(test::sameMoments(joined, chunks));
+  EXPECT_TRUE(core::sampleEvalChunks(obj, {x, 8, 0, 0}).empty());
+}
+
+TEST(SamplingContext, InlineRefineAbsorbsTheCanonicalChunkFold) {
+  // With no backend the context draws through the same sampler every
+  // backend uses, so a vertex holds exactly the folded chunks.
+  auto obj = test::noisySphere(2, 2.0);
+  SamplingContext ctx(obj);
+  auto v = ctx.createVertex({1.0, 2.0}, 100);
+  ctx.refine(*v, 200);
+  const core::SamplingBackend::BatchRequest first{v->point(), v->id(), 0, 100};
+  const core::SamplingBackend::BatchRequest second{v->point(), v->id(), 100, 200};
+  stats::Welford want = core::foldEvalChunks(core::sampleEvalChunks(obj, first));
+  want.merge(core::foldEvalChunks(core::sampleEvalChunks(obj, second)));
+  EXPECT_TRUE(test::sameMoments(v->accumulator(), want));
+}
+
 }  // namespace

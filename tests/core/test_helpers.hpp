@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,6 +42,22 @@ inline noise::NoisyFunction noisyPowell(double sigma0, std::uint64_t seed = 55) 
   o.seed = seed;
   return noise::NoisyFunction(
       4, [](std::span<const double> x) { return testfunctions::powell(x); }, o);
+}
+
+/// True when two accumulators hold bit-identical moments.
+inline bool sameMoments(const stats::Welford& a, const stats::Welford& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a.count() == b.count() && bits(a.mean()) == bits(b.mean()) &&
+         bits(a.sumSquaredDeviations()) == bits(b.sumSquaredDeviations());
+}
+
+/// True when two chunk-moment lists are bit-identical, chunk by chunk.
+inline bool sameMoments(std::span<const stats::Welford> a, std::span<const stats::Welford> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!sameMoments(a[i], b[i])) return false;
+  }
+  return true;
 }
 
 /// Deterministic initial simplex a moderate distance from the optimum.

@@ -13,13 +13,14 @@
 
 #include "mw/mw_driver.hpp"
 #include "mw/mw_worker.hpp"
+#include "tests/mw/mw_test_helpers.hpp"
 
 namespace {
 
 using namespace sfopt::mw;
 
-/// Submit values first..first+count-1 and drain; returns each task's echoed
-/// result in submit order.
+/// Submit values first..first+count-1 and wait for them all; returns each
+/// task's echoed result in submit order.
 std::vector<std::int64_t> echoAll(MWDriver& driver, std::int64_t first, std::int64_t count) {
   std::map<std::uint64_t, std::size_t> slotOf;
   for (std::int64_t i = 0; i < count; ++i) {
@@ -28,7 +29,9 @@ std::vector<std::int64_t> echoAll(MWDriver& driver, std::int64_t first, std::int
     slotOf[driver.submit(std::move(b))] = static_cast<std::size_t>(i);
   }
   std::vector<std::int64_t> out(static_cast<std::size_t>(count), -1);
-  for (auto& c : driver.drain()) out[slotOf.at(c.id)] = c.payload.unpackInt64();
+  for (auto& c : sfopt::test::waitAll(driver)) {
+    out[slotOf.at(c.id)] = c.payload.unpackInt64();
+  }
   return out;
 }
 

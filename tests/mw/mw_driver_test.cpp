@@ -16,6 +16,7 @@
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testfunctions/functions.hpp"
+#include "tests/mw/mw_test_helpers.hpp"
 
 namespace {
 
@@ -59,11 +60,14 @@ struct Pool {
   std::vector<std::thread> threads;
 };
 
-/// Submit every task, drain, and write each result back by submit id.
+/// Submit every task, wait for them all, and write each result back by
+/// submit id.
 void runTasks(MWDriver& driver, std::vector<SquareTask>& tasks) {
   std::map<std::uint64_t, std::size_t> slotOf;
   for (std::size_t i = 0; i < tasks.size(); ++i) slotOf[driver.submit(tasks[i].input())] = i;
-  for (auto& c : driver.drain()) tasks[slotOf.at(c.id)].result_ = c.payload.unpackInt64();
+  for (auto& c : sfopt::test::waitAll(driver)) {
+    tasks[slotOf.at(c.id)].result_ = c.payload.unpackInt64();
+  }
 }
 
 std::vector<SquareTask> squares(std::int64_t first, std::int64_t count) {
@@ -92,7 +96,6 @@ TEST(MWDriver, EmptyBatchIsNoop) {
   CommWorld comm(2);
   Pool pool(comm, 1);
   MWDriver driver(comm);
-  EXPECT_TRUE(driver.drain().empty());
   EXPECT_TRUE(driver.poll(5.0).empty()) << "nothing outstanding: poll must not wait";
   driver.shutdown();
 }
@@ -206,7 +209,7 @@ TEST(MWDriver, ThrowsWhenEveryWorkerIsLost) {
   MWDriver driver(comm);
   driver.setRecvTimeout(5.0);
   (void)driver.submit(SquareTask{3, 0}.input());
-  EXPECT_THROW((void)driver.drain(), std::runtime_error);
+  EXPECT_THROW((void)sfopt::test::waitAll(driver), std::runtime_error);
 }
 
 /// Reports kTagError on its first task (MWWorker turns the std::exception
@@ -240,7 +243,7 @@ TEST(MWDriver, AsyncSubmitAndDrainCompleteEverything) {
     want[driver.submit(std::move(b))] = i * i;
   }
   EXPECT_EQ(driver.outstanding(), 12u);
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
   EXPECT_EQ(driver.outstanding(), 0u);
   ASSERT_EQ(done.size(), 12u);
   for (auto& c : done) {
@@ -287,7 +290,7 @@ TEST(MWDriver, AsyncErrorReplyIsRequeued) {
     b.pack(i);
     want[driver.submit(std::move(b))] = i * i;
   }
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
   ASSERT_EQ(done.size(), 6u);
   for (auto& c : done) EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
   EXPECT_GE(driver.tasksRequeued(), 1u);
@@ -310,7 +313,7 @@ TEST(MWDriver, AsyncWorkerLostRequeuesOntoSurvivors) {
     b.pack(i);
     want[driver.submit(std::move(b))] = i * i;
   }
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
   ASSERT_EQ(done.size(), 4u);
   for (auto& c : done) EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
   EXPECT_EQ(driver.workersLost(), 1u);
@@ -318,51 +321,6 @@ TEST(MWDriver, AsyncWorkerLostRequeuesOntoSurvivors) {
   EXPECT_EQ(driver.liveWorkerCount(), 1);
   driver.shutdown();
   runner.join();
-}
-
-TEST(MWDriver, AsyncDrainGivesRequeuedTaskAFreshWindow) {
-  // A poll window that carries only an error report (no completion) is
-  // recovery in progress, not silence: the requeued task must get a fresh
-  // timeout window instead of killing the run with "no worker message".
-  CommWorld comm(3);
-  MWDriver driver(comm);
-  driver.setRecvTimeout(0.6);
-  MessageBuffer b;
-  b.pack(std::int64_t{5});
-  const std::uint64_t id = driver.submit(std::move(b));  // dispatched to rank 1
-
-  std::thread script([&comm, id] {
-    // Window 1: rank 1 reports failure — a message, but no completion.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    MessageBuffer err;
-    err.pack(id);
-    err.pack(std::string("transient"));
-    comm.send(1, 0, kTagError, std::move(err));
-    // Window 2: the requeued attempt (now on rank 2) completes.
-    std::this_thread::sleep_for(std::chrono::milliseconds(700));
-    MessageBuffer res;
-    res.pack(id);
-    res.pack(std::int64_t{25});
-    comm.send(2, 0, kTagResult, std::move(res));
-  });
-
-  auto done = driver.drain();
-  script.join();
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].id, id);
-  EXPECT_EQ(done[0].payload.unpackInt64(), 25);
-  EXPECT_EQ(driver.tasksRequeued(), 1u);
-  driver.shutdown();
-}
-
-TEST(MWDriver, AsyncDrainTimesOutWhenNobodyAnswers) {
-  CommWorld comm(2);
-  MWDriver driver(comm);
-  driver.setRecvTimeout(0.05);
-  MessageBuffer b;
-  b.pack(std::int64_t{3});
-  (void)driver.submit(std::move(b));
-  EXPECT_THROW((void)driver.drain(), std::runtime_error);
 }
 
 TEST(MWDriver, WorkersCountTheirTasks) {
@@ -422,7 +380,7 @@ TEST(MWDriver, DuplicateCompletionsForFoldedTasksAreDiscardedAndCounted) {
   // Task 1 goes straight to rank 1; task 2 waits for it to free up.
   EXPECT_EQ(driver.submit(SquareTask{5, 0}.input()), 1u);
   EXPECT_EQ(driver.submit(SquareTask{6, 0}.input()), 2u);
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
   script.join();
 
   ASSERT_EQ(done.size(), 2u);
@@ -472,7 +430,7 @@ TEST(MWDriver, LateResultReorderedAcrossReconnectIsDiscardedOnAsyncPath) {
     comm.send(2, 0, kTagResult, std::move(dup));
   });
 
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
   (void)driver.poll(0.3);  // give the post-fold duplicate a window to land
   script.join();
 

@@ -66,17 +66,29 @@ void expectBitwiseSameRun(const core::OptimizationResult& a, const core::Optimiz
   EXPECT_EQ(traceCsvWithoutWallSeconds(a.trace), traceCsvWithoutWallSeconds(b.trace));
 }
 
-/// Trajectory equality against the pure serial (inline-sampling) run: the
-/// moves are identical; the estimate may differ in the last bits because
-/// the serial path absorbs per sample instead of folding chunk moments.
-void expectSameTrajectoryAsSerial(const core::OptimizationResult& mw,
-                                  const core::OptimizationResult& serial) {
-  EXPECT_EQ(mw.iterations, serial.iterations);
-  EXPECT_EQ(mw.totalSamples, serial.totalSamples);
-  EXPECT_EQ(mw.elapsedTime, serial.elapsedTime);
-  EXPECT_EQ(mw.best, serial.best);
-  EXPECT_NEAR(mw.bestEstimate, serial.bestEstimate,
-              1e-9 * std::abs(serial.bestEstimate) + 1e-12);
+/// solo == --mw, bit for bit, for every simplex variant: the inline path
+/// draws and folds the same canonical chunks as every backend, so no seed
+/// may move even the last bit of the estimate.
+TEST(PipelineEquivalence, SoloMatchesMwBitwiseForEveryAlgorithmAndSeed) {
+  const auto start = test::simpleStart(3, -1.0, 0.8);
+  const std::vector<core::AlgorithmOptions> variants{
+      core::DetOptions{}, core::MaxNoiseOptions{}, core::AndersonOptions{}, core::PCOptions{}};
+  for (core::AlgorithmOptions options : variants) {
+    core::CommonOptions& common = core::commonOptions(options);
+    common.termination.tolerance = 1e-2;
+    common.termination.maxIterations = 150;
+    common.termination.maxSamples = 400'000;
+    common.sampling.maxSamplesPerVertex = 20'000;
+    common.recordTrace = true;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("variant " + std::to_string(options.index()) + ", seed " +
+                   std::to_string(seed));
+      const auto obj = test::noisyRosenbrock(3, 10.0, seed);
+      const auto solo = core::runSimplex(obj, start, options);
+      const auto mw = mw::runSimplexOverMW(obj, start, options, mw::MWRunConfig{.workers = 3});
+      expectBitwiseSameRun(mw.optimization, solo);
+    }
+  }
 }
 
 TEST(PipelineEquivalence, MnShardedSpeculativeMatchesUnshardedBitwise) {
@@ -94,7 +106,7 @@ TEST(PipelineEquivalence, MnShardedSpeculativeMatchesUnshardedBitwise) {
   expectBitwiseSameRun(piped.optimization, plain.optimization);
 
   const auto serial = core::runMaxNoise(obj, start, opts);
-  expectSameTrajectoryAsSerial(piped.optimization, serial);
+  expectBitwiseSameRun(piped.optimization, serial);
 }
 
 TEST(PipelineEquivalence, DetShardedMatchesUnshardedBitwise) {
@@ -112,7 +124,7 @@ TEST(PipelineEquivalence, DetShardedMatchesUnshardedBitwise) {
   expectBitwiseSameRun(piped.optimization, plain.optimization);
 
   const auto serial = core::runDeterministic(obj, start, opts);
-  expectSameTrajectoryAsSerial(piped.optimization, serial);
+  expectBitwiseSameRun(piped.optimization, serial);
 }
 
 TEST(PipelineEquivalence, PcShardedSpeculativeMatchesUnshardedBitwise) {
@@ -130,7 +142,7 @@ TEST(PipelineEquivalence, PcShardedSpeculativeMatchesUnshardedBitwise) {
   expectBitwiseSameRun(piped.optimization, plain.optimization);
 
   const auto serial = core::runPointToPoint(obj, start, opts);
-  expectSameTrajectoryAsSerial(piped.optimization, serial);
+  expectBitwiseSameRun(piped.optimization, serial);
 }
 
 TEST(PipelineEquivalence, PcRosenbrockSpeculationAlsoBitwise) {

@@ -20,18 +20,18 @@ TEST(VertexServer, RejectsZeroClients) {
 TEST(VertexServer, BatchMatchesInlineSampling) {
   auto obj = test::noisySphere(2, 2.0);
   const std::vector<double> x{1.0, -1.0};
-
-  // Inline reference.
-  stats::Welford ref;
-  for (std::uint64_t i = 0; i < 100; ++i) ref.add(obj.sample(x, {5, i}));
+  // 300 samples = four whole chunks and a partial one: every client count
+  // below splits it differently, yet the chunks are the inline sampler's.
+  const SamplingBackend::BatchRequest req{x, 5, 0, 300};
+  const auto ref = core::sampleEvalChunks(obj, req);
+  ASSERT_EQ(ref.size(), 5u);
 
   for (int clients : {1, 2, 3, 7}) {
     VertexServer server(obj, clients);
-    const SamplingBackend::BatchRequest req{x, 5, 0, 100};
-    const auto got = server.runBatch(req);
-    EXPECT_EQ(got.count(), ref.count()) << clients << " clients";
-    EXPECT_NEAR(got.mean(), ref.mean(), 1e-12) << clients << " clients";
-    EXPECT_NEAR(got.variance(), ref.variance(), 1e-9) << clients << " clients";
+    const auto got = server.runBatchChunks(req);
+    EXPECT_TRUE(test::sameMoments(got, ref)) << clients << " clients";
+    EXPECT_TRUE(test::sameMoments(core::foldEvalChunks(got), core::foldEvalChunks(ref)))
+        << clients << " clients";
   }
 }
 
@@ -39,42 +39,41 @@ TEST(VertexServer, RespectsStartIndex) {
   auto obj = test::noisySphere(2, 2.0);
   const std::vector<double> x{0.5, 0.5};
   VertexServer server(obj, 2);
-  const auto first = server.runBatch({x, 9, 0, 50});
-  const auto second = server.runBatch({x, 9, 50, 50});
-  stats::Welford merged = first;
-  merged.merge(second);
+  // Two back-to-back chunk-aligned batches are the first and second half
+  // of one 256-sample batch's chunks.
+  auto chunks = server.runBatchChunks({x, 9, 0, 128});
+  const auto second = server.runBatchChunks({x, 9, 128, 128});
+  chunks.insert(chunks.end(), second.begin(), second.end());
 
-  stats::Welford ref;
-  for (std::uint64_t i = 0; i < 100; ++i) ref.add(obj.sample(x, {9, i}));
-  EXPECT_NEAR(merged.mean(), ref.mean(), 1e-12);
-  EXPECT_NEAR(merged.variance(), ref.variance(), 1e-9);
+  EXPECT_TRUE(test::sameMoments(chunks, core::sampleEvalChunks(obj, {x, 9, 0, 256})));
 }
 
 TEST(VertexServer, ZeroCountBatch) {
   auto obj = test::noisySphere(2, 1.0);
   VertexServer server(obj, 3);
   const std::vector<double> x{0.0, 0.0};
-  const auto got = server.runBatch({x, 1, 0, 0});
-  EXPECT_EQ(got.count(), 0);
+  EXPECT_TRUE(server.runBatchChunks({x, 1, 0, 0}).empty());
+  EXPECT_THROW((void)server.runBatchChunks({x, 1, 0, -1}), std::invalid_argument);
 }
 
 TEST(VertexServer, CountSmallerThanClientPool) {
   auto obj = test::noisySphere(2, 1.0);
   VertexServer server(obj, 8);
   const std::vector<double> x{0.0, 0.0};
-  const auto got = server.runBatch({x, 2, 0, 3});
-  EXPECT_EQ(got.count(), 3);
+  const auto got = server.runBatchChunks({x, 2, 0, 3});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.front().count(), 3);
 }
 
 TEST(VertexServer, LoadIsSplitAcrossClients) {
   auto obj = test::noisySphere(2, 1.0);
   VertexServer server(obj, 4);
   const std::vector<double> x{0.0, 0.0};
-  (void)server.runBatch({x, 3, 0, 100});
+  // Seven chunks over four clients: 2, 2, 2 chunks and the partial last.
+  (void)server.runBatchChunks({x, 3, 0, 6 * core::kEvalChunkSamples + 10});
   const auto counts = server.clientSampleCounts();
   ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}), 100);
-  for (auto c : counts) EXPECT_EQ(c, 25);
+  EXPECT_EQ(counts, (std::vector<std::int64_t>{128, 128, 128, 10}));
 }
 
 TEST(VertexServer, ManySequentialBatches) {
@@ -83,8 +82,9 @@ TEST(VertexServer, ManySequentialBatches) {
   const std::vector<double> x{1.0, 1.0};
   std::int64_t total = 0;
   for (int i = 0; i < 50; ++i) {
-    const auto got = server.runBatch({x, 4, static_cast<std::uint64_t>(total), 10});
-    EXPECT_EQ(got.count(), 10);
+    const SamplingBackend::BatchRequest req{x, 4, static_cast<std::uint64_t>(total), 10};
+    const auto got = server.runBatchChunks(req);
+    EXPECT_TRUE(test::sameMoments(got, core::sampleEvalChunks(obj, req)));
     total += 10;
   }
   const auto counts = server.clientSampleCounts();

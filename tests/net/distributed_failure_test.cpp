@@ -22,6 +22,7 @@
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_analysis.hpp"
 #include "testfunctions/functions.hpp"
+#include "tests/mw/mw_test_helpers.hpp"
 
 namespace {
 
@@ -113,7 +114,7 @@ TEST(DistributedFailure, KilledWorkerTaskIsRequeuedAndBatchCompletes) {
     b.pack(v);
     want[driver.submit(std::move(b))] = 2 * v;
   }
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
 
   ASSERT_EQ(done.size(), 4u);
   for (auto& c : done) EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
@@ -256,7 +257,7 @@ TEST(DistributedFailure, TcpRunMatchesInProcessRunBitwise) {
   core::MaxNoiseOptions algo;
   algo.common.termination.maxIterations = 12;
   algo.common.termination.maxSamples = 20'000;
-  const mw::AlgorithmOptions options = algo;
+  const core::AlgorithmOptions options = algo;
 
   mw::MWRunConfig config;
   config.workers = 2;

@@ -19,6 +19,7 @@
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testfunctions/functions.hpp"
+#include "tests/mw/mw_test_helpers.hpp"
 
 // Partition-chaos tests (§9.10): a ChaosProxy sits between master and
 // workers and injects the classic fabric faults — full partitions,
@@ -353,7 +354,7 @@ TEST(PartitionChaos, ReconnectAfterHealGetsFreshRankRetiresGaugesRequeuesOnce) {
   cut.kind = ChaosEvent::Kind::Partition;
   proxy.inject(cut);
 
-  auto done = driver.drain();
+  auto done = sfopt::test::waitAll(driver);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].id, id);
   EXPECT_EQ(done[0].payload.unpackInt64(), 42);
@@ -438,7 +439,7 @@ TEST(PartitionChaos, DelayDuplicateRunIsBitwiseIdenticalToSolo) {
   core::MaxNoiseOptions algo;
   algo.common.termination.maxIterations = 12;
   algo.common.termination.maxSamples = 20'000;
-  const mw::AlgorithmOptions options = algo;
+  const core::AlgorithmOptions options = algo;
 
   mw::MWRunConfig config;
   config.workers = 2;
@@ -498,7 +499,7 @@ TEST(PartitionChaos, ScheduledPartitionWithReconnectingWorkerStaysBitwise) {
   algo.common.termination.maxIterations = 30;
   algo.common.termination.maxSamples = 60'000;
   algo.common.sampling.shardMinSamples = 64;
-  const mw::AlgorithmOptions options = algo;
+  const core::AlgorithmOptions options = algo;
 
   mw::MWRunConfig config;
   config.workers = 2;

@@ -19,7 +19,6 @@
 
 #include "core/algorithms.hpp"
 #include "core/initial_simplex.hpp"
-#include "mw/parallel_runner.hpp"
 #include "net/chaos_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "service/service.hpp"
@@ -58,14 +57,10 @@ service::JobSpec makeSpec(const std::string& function, std::int64_t dim,
 }
 
 /// Ground truth for the bitwise assertions: the same spec run alone,
-/// in-process, over the MW backend (see service_test.cpp).
+/// in-process, with no backend (see service_test.cpp).
 core::OptimizationResult soloRun(const service::JobSpec& spec) {
   const noise::NoisyFunction objective = spec.objective.makeObjective();
-  const mw::AlgorithmOptions options = spec.makeOptions();
-  mw::MWRunConfig cfg;
-  cfg.workers = 2;
-  cfg.clientsPerWorker = static_cast<int>(spec.objective.clients);
-  return mw::runSimplexOverMW(objective, spec.initial, options, cfg).optimization;
+  return core::runSimplex(objective, spec.initial, spec.makeOptions());
 }
 
 void expectBitwiseEqual(const service::JobOutcome& outcome,

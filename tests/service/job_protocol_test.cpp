@@ -7,7 +7,6 @@
 
 #include "core/algorithms.hpp"
 #include "mw/message_buffer.hpp"
-#include "mw/parallel_runner.hpp"
 
 namespace {
 
@@ -89,7 +88,7 @@ TEST(JobProtocol, MakeOptionsMapsAlgorithmAndPipelineKnobs) {
   service::JobSpec spec = sampleSpec();
   spec.algorithm = "pcmn";
   spec.k = 2.5;
-  const mw::AlgorithmOptions options = spec.makeOptions();
+  const core::AlgorithmOptions options = spec.makeOptions();
   const auto* pc = std::get_if<core::PCOptions>(&options);
   ASSERT_NE(pc, nullptr);
   EXPECT_EQ(pc->k, 2.5);
@@ -99,7 +98,7 @@ TEST(JobProtocol, MakeOptionsMapsAlgorithmAndPipelineKnobs) {
   EXPECT_TRUE(pc->common.sampling.speculate);
 
   spec.algorithm = "anderson";
-  const mw::AlgorithmOptions andersonOptions = spec.makeOptions();
+  const core::AlgorithmOptions andersonOptions = spec.makeOptions();
   const auto* anderson = std::get_if<core::AndersonOptions>(&andersonOptions);
   ASSERT_NE(anderson, nullptr);
   EXPECT_EQ(anderson->k1, 1.25);

@@ -6,12 +6,10 @@
 #include <chrono>
 #include <future>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "core/algorithms.hpp"
 #include "core/initial_simplex.hpp"
-#include "mw/parallel_runner.hpp"
 #include "net/tcp_transport.hpp"
 #include "service/service_client.hpp"
 #include "service/service_worker.hpp"
@@ -39,17 +37,11 @@ service::JobSpec makeSpec(const std::string& function, std::int64_t dim,
 }
 
 /// The ground truth a service job must match bitwise: the same spec run
-/// alone, in-process, over the MW backend.  (Against the pure serial path
-/// everything but the estimate is bitwise too; the estimate differs in
-/// the last bits because serial absorbs per sample instead of folding
-/// chunk moments — see pipeline_equivalence_test.)
+/// alone, in-process, with no backend at all (inline sampling folds the
+/// same canonical chunks as every backend).
 core::OptimizationResult soloRun(const service::JobSpec& spec) {
   const noise::NoisyFunction objective = spec.objective.makeObjective();
-  const mw::AlgorithmOptions options = spec.makeOptions();
-  mw::MWRunConfig cfg;
-  cfg.workers = 2;
-  cfg.clientsPerWorker = static_cast<int>(spec.objective.clients);
-  return mw::runSimplexOverMW(objective, spec.initial, options, cfg).optimization;
+  return core::runSimplex(objective, spec.initial, spec.makeOptions());
 }
 
 void expectBitwiseEqual(const service::JobOutcome& outcome,

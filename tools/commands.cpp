@@ -119,40 +119,34 @@ void applyIsaFlag(const Args& args) {
 
 /// Simplex algorithm selection shared by `optimize` and `serve`; the
 /// caller layers telemetry / checkpointing onto `common` afterwards.
-mw::AlgorithmOptions simplexOptionsFrom(const Args& args, const std::string& algo,
-                                        const core::TerminationCriteria& term,
-                                        bool wantTrace) {
-  mw::AlgorithmOptions options;
+core::AlgorithmOptions simplexOptionsFrom(const Args& args, const std::string& algo,
+                                          const core::TerminationCriteria& term,
+                                          bool wantTrace) {
+  core::AlgorithmOptions options;
   if (algo == "det") {
-    core::DetOptions o;
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
-    options = o;
+    options = core::DetOptions{};
   } else if (algo == "mn") {
     core::MaxNoiseOptions o;
     o.k = args.getDouble("k", 2.0);
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
     options = o;
   } else if (algo == "anderson") {
     core::AndersonOptions o;
     o.k1 = args.getDouble("k1", 1.0);
     o.k2 = args.getDouble("k2", 0.0);
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
     options = o;
   } else if (algo == "pc" || algo == "pcmn") {
     core::PCOptions o;
     o.k = args.getDouble("k", 1.0);
     o.maxNoiseGate = algo == "pcmn";
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
     options = o;
   } else {
     throw ArgError("unknown algorithm '" + algo +
                    "' (try det, mn, anderson, pc, pcmn, pso, sa)");
   }
-  std::visit([&](auto& o) { applyPipelineKnobs(args, o.common); }, options);
+  core::CommonOptions& common = core::commonOptions(options);
+  common.termination = term;
+  common.recordTrace = wantTrace;
+  applyPipelineKnobs(args, common);
   return options;
 }
 
@@ -424,8 +418,8 @@ int runOptimizeCommand(const Args& args, std::ostream& out) {
     o.termination = term;
     res = core::runSimulatedAnnealing(objective, start.front(), o);
   } else {
-    mw::AlgorithmOptions options = simplexOptionsFrom(args, algo, term, wantTrace);
-    std::visit([&](auto& o) { applyCheckpointing(o.common); }, options);
+    core::AlgorithmOptions options = simplexOptionsFrom(args, algo, term, wantTrace);
+    applyCheckpointing(core::commonOptions(options));
     if (args.getBool("mw", false)) {
       mw::MWRunConfig cfg;
       cfg.workers = static_cast<int>(args.getInt("workers", 0));
@@ -437,20 +431,7 @@ int runOptimizeCommand(const Args& args, std::ostream& out) {
           << " messages\n";
       res = run.optimization;
     } else {
-      res = std::visit(
-          [&](const auto& o) {
-            using T = std::decay_t<decltype(o)>;
-            if constexpr (std::is_same_v<T, core::DetOptions>) {
-              return core::runDeterministic(objective, start, o);
-            } else if constexpr (std::is_same_v<T, core::MaxNoiseOptions>) {
-              return core::runMaxNoise(objective, start, o);
-            } else if constexpr (std::is_same_v<T, core::AndersonOptions>) {
-              return core::runAnderson(objective, start, o);
-            } else {
-              return core::runPointToPoint(objective, start, o);
-            }
-          },
-          options);
+      res = core::runSimplex(objective, start, options);
     }
   }
   printResult(out, res);
@@ -617,12 +598,12 @@ int runServeCommand(const Args& args, std::ostream& out) {
   const std::string fn = args.getString("function", "rosenbrock");
   const auto objective = makeObjective(args, dim);
   const std::string algo = args.getString("algorithm", "pc");
-  mw::AlgorithmOptions options = simplexOptionsFrom(args, algo, terminationFrom(args), false);
+  core::AlgorithmOptions options = simplexOptionsFrom(args, algo, terminationFrom(args), false);
   const auto start = initialSimplexFrom(args, dim);
 
   CliTelemetry telemetrySession = CliTelemetry::open(args, "serve");
   telemetry::Telemetry* const tel = telemetrySession.get();
-  std::visit([&](auto& o) { o.common.telemetry = tel; }, options);
+  core::commonOptions(options).telemetry = tel;
 
   net::TcpCommWorld::Options netOpts;
   netOpts.telemetry = tel;
