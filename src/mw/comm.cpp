@@ -5,6 +5,12 @@
 #include <stdexcept>
 
 namespace sfopt::mw {
+namespace {
+
+/// One year is as good as forever for a receive timeout.
+constexpr double kMaxTimeoutSeconds = 365.0 * 24.0 * 3600.0;
+
+}  // namespace
 
 CommWorld::CommWorld(int size) {
   if (size < 1) throw std::invalid_argument("CommWorld: size must be >= 1");
@@ -16,10 +22,6 @@ void CommWorld::checkRank(Rank r, const char* what) const {
   if (r < 0 || r >= size()) {
     throw std::out_of_range(std::string("CommWorld::") + what + ": rank out of range");
   }
-}
-
-bool CommWorld::matches(const Message& m, Rank source, int tag) noexcept {
-  return (source == kAnySource || m.source == source) && (tag == kAnyTag || m.tag == tag);
 }
 
 void CommWorld::send(Rank from, Rank to, int tag, MessageBuffer payload,
@@ -45,73 +47,44 @@ void CommWorld::countReceived(const Message& m) {
   bytesReceived_ += m.payload.sizeBytes();
 }
 
-Message CommWorld::recv(Rank at, Rank source, int tag) {
-  checkRank(at, "recv");
-  Mailbox& box = *boxes_[static_cast<std::size_t>(at)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    const auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                                 [&](const Message& m) { return matches(m, source, tag); });
-    if (it != box.queue.end()) {
-      Message m = std::move(*it);
-      box.queue.erase(it);
-      countReceived(m);
-      return m;
-    }
-    box.cv.wait(lock);
-  }
-}
-
-std::optional<Message> CommWorld::recvFor(Rank at, double timeoutSeconds, Rank source, int tag) {
-  checkRank(at, "recvFor");
+std::optional<Message> CommWorld::await(Rank at, const char* what, double timeoutSeconds,
+                                        Rank source, int tag) {
+  checkRank(at, what);
   Mailbox& box = *boxes_[static_cast<std::size_t>(at)];
   // Clamp before the duration_cast: a huge timeout (say 1e18 s) overflows
   // steady_clock's representation and yields a bogus (possibly already
-  // past) deadline.  One year is as good as forever here; NaN and negative
-  // values collapse to an immediate poll.
-  constexpr double kMaxTimeoutSeconds = 365.0 * 24.0 * 3600.0;
+  // past) deadline.  NaN and negative values collapse to an immediate poll.
   const double clamped =
       timeoutSeconds > 0.0 ? std::min(timeoutSeconds, kMaxTimeoutSeconds) : 0.0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                             std::chrono::duration<double>(clamped));
   std::unique_lock lock(box.mutex);
+  bool timedOut = clamped <= 0.0;
   for (;;) {
-    const auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                                 [&](const Message& m) { return matches(m, source, tag); });
-    if (it != box.queue.end()) {
-      Message m = std::move(*it);
-      box.queue.erase(it);
-      countReceived(m);
+    if (auto m = net::takeMatching(box.queue, source, tag)) {
+      countReceived(*m);
       return m;
     }
-    if (box.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      // One last scan: a message may have slipped in between the timeout
-      // and re-acquiring the lock.
-      const auto late = std::find_if(box.queue.begin(), box.queue.end(),
-                                     [&](const Message& m) { return matches(m, source, tag); });
-      if (late != box.queue.end()) {
-        Message m = std::move(*late);
-        box.queue.erase(late);
-        countReceived(m);
-        return m;
-      }
-      return std::nullopt;
-    }
+    if (timedOut) return std::nullopt;
+    // After a timeout the loop scans once more: a message may have slipped
+    // in between the timeout and re-acquiring the lock.
+    timedOut = box.cv.wait_until(lock, deadline) == std::cv_status::timeout;
   }
 }
 
+Message CommWorld::recv(Rank at, Rank source, int tag) {
+  for (;;) {
+    if (auto m = await(at, "recv", kMaxTimeoutSeconds, source, tag)) return std::move(*m);
+  }
+}
+
+std::optional<Message> CommWorld::recvFor(Rank at, double timeoutSeconds, Rank source, int tag) {
+  return await(at, "recvFor", timeoutSeconds, source, tag);
+}
+
 std::optional<Message> CommWorld::tryRecv(Rank at, Rank source, int tag) {
-  checkRank(at, "tryRecv");
-  Mailbox& box = *boxes_[static_cast<std::size_t>(at)];
-  std::lock_guard lock(box.mutex);
-  const auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                               [&](const Message& m) { return matches(m, source, tag); });
-  if (it == box.queue.end()) return std::nullopt;
-  Message m = std::move(*it);
-  box.queue.erase(it);
-  countReceived(m);
-  return m;
+  return await(at, "tryRecv", 0.0, source, tag);
 }
 
 std::size_t CommWorld::queuedAt(Rank at) const {

@@ -76,7 +76,10 @@ class CommWorld final : public net::Transport {
   };
 
   void checkRank(Rank r, const char* what) const;
-  static bool matches(const Message& m, Rank source, int tag) noexcept;
+  /// The one wait loop behind recv/recvFor/tryRecv: take the first match,
+  /// waiting at most `timeoutSeconds` for one to arrive.
+  [[nodiscard]] std::optional<Message> await(Rank at, const char* what, double timeoutSeconds,
+                                             Rank source, int tag);
 
   void countReceived(const Message& m);
 

@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -25,6 +27,9 @@ constexpr double kPollSliceSeconds = 0.2;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+/// recv()'s timeout: wait until a match arrives.
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
 /// Upper bound on a blocking worker->master write when no master timeout is
 /// configured: a peer that stops draining its socket for this long is dead
 /// for our purposes, and an unbounded send would pin the heartbeat thread
@@ -37,8 +42,50 @@ int toPollMillis(double seconds) {
   return ms > 1.0 ? static_cast<int>(std::min(ms, 60'000.0)) : 1;
 }
 
-bool matches(const Message& m, Rank source, int tag) noexcept {
-  return (source == kAnySource || m.source == source) && (tag == kAnyTag || m.tag == tag);
+struct ReadResult {
+  std::size_t bytes = 0;
+  const char* closed = nullptr;  ///< why the stream ended; null while open
+};
+
+/// Drain every byte the kernel holds for `sock` into `decoder` — the one
+/// ::recv loop of both endpoints.  A close is reported, not acted on, so
+/// the caller still dispatches frames that rode the final segments.
+ReadResult readAvailable(const Socket& sock, FrameDecoder& decoder) {
+  std::byte chunk[kReadChunk];
+  ReadResult r;
+  for (;;) {
+    const ssize_t n = ::recv(sock.fd(), chunk, sizeof chunk, 0);
+    if (n > 0) {
+      decoder.feed(chunk, static_cast<std::size_t>(n));
+      r.bytes += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0) r.closed = "connection closed";
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) r.closed = "connection error";
+    return r;
+  }
+}
+
+Message messageFromFrame(Frame&& frame, Rank source) {
+  return Message{source, frame.tag, mw::MessageBuffer(std::move(frame.payload)), frame.traceId,
+                 frame.parentSpan};
+}
+
+/// The wait loop behind every TCP endpoint's recv/recvFor/tryRecv: take a
+/// match from `inbox`, else run one I/O `pass` of at most a poll slice,
+/// until `timeoutSeconds` is spent.  A zero timeout still runs one
+/// non-blocking pass before giving up.
+template <class Pass>
+std::optional<Message> awaitMatch(std::deque<Message>& inbox, Rank source, int tag,
+                                  double timeoutSeconds, Pass&& pass) {
+  const double deadline = monotonicSeconds() + timeoutSeconds;
+  for (;;) {
+    if (auto m = takeMatching(inbox, source, tag)) return m;
+    const double remaining = deadline - monotonicSeconds();
+    pass(std::clamp(remaining, 0.0, kPollSliceSeconds));
+    if (remaining <= 0.0) return takeMatching(inbox, source, tag);
+  }
 }
 
 }  // namespace
@@ -89,12 +136,11 @@ void TcpCommWorld::setGreeting(int tag, mw::MessageBuffer payload) {
 }
 
 int TcpCommWorld::liveWorkers() const noexcept {
-  int n = 0;
-  for (const auto& p : peers_) n += p->alive ? 1 : 0;
-  return n;
+  return static_cast<int>(std::count_if(workers_.begin(), workers_.end(),
+                                        [](const Connection* c) { return c != nullptr; }));
 }
 
-int TcpCommWorld::size() const noexcept { return 1 + static_cast<int>(peers_.size()); }
+int TcpCommWorld::size() const noexcept { return 1 + static_cast<int>(workers_.size()); }
 
 double TcpCommWorld::masterNow() const {
   return options_.telemetry != nullptr ? options_.telemetry->clock().now()
@@ -103,16 +149,9 @@ double TcpCommWorld::masterNow() const {
 
 std::vector<FleetHealth> TcpCommWorld::fleetHealth() const {
   std::vector<FleetHealth> out;
-  out.reserve(peers_.size());
-  for (const auto& p : peers_) out.push_back(p->health);
+  out.reserve(workers_.size());
+  for (const Connection* c : workers_) out.push_back(c != nullptr ? c->health : FleetHealth{});
   return out;
-}
-
-void TcpCommWorld::checkMaster(Rank at, const char* what) const {
-  if (at != 0) {
-    throw std::invalid_argument(std::string("TcpCommWorld::") + what +
-                                ": only rank 0 lives on the master transport");
-  }
 }
 
 int TcpCommWorld::waitForWorkers(int count, double timeoutSeconds) {
@@ -131,317 +170,208 @@ int TcpCommWorld::waitForWorkers(int count, double timeoutSeconds) {
 
 void TcpCommWorld::send(Rank from, Rank to, int tag, mw::MessageBuffer payload,
                         std::uint64_t traceId, std::uint64_t parentSpan) {
-  checkMaster(from, "send(from)");
+  if (from != 0) {
+    throw std::invalid_argument(
+        "TcpCommWorld::send(from): only rank 0 lives on the master transport");
+  }
   if (to < 1 || to >= size()) {
     throw std::out_of_range("TcpCommWorld::send: rank out of range");
   }
-  Peer& peer = *peers_[static_cast<std::size_t>(to) - 1];
-  if (!peer.alive) {
+  Connection* c = workers_[static_cast<std::size_t>(to) - 1];
+  if (c == nullptr) {
     NetTelemetry::add(tel_.sendsDropped);
     return;  // loss already reported (or about to be) via kTagWorkerLost
   }
-  const Frame frame = makeMessageFrame(tag, payload.releaseWire(), traceId, parentSpan);
-  const std::size_t before = peer.sendBuf.size();
-  appendFrame(peer.sendBuf, frame);
-  ++messagesSent_;
-  ++framesSent_;
-  bytesSent_ += peer.sendBuf.size() - before;
-  NetTelemetry::add(tel_.messagesOut);
-  NetTelemetry::add(tel_.framesOut);
-  NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(peer.sendBuf.size() - before));
-  flushPeer(to);
+  enqueue(*c, makeMessageFrame(tag, payload.releaseWire(), traceId, parentSpan), true);
 }
 
-void TcpCommWorld::enqueueToPeer(Rank rank, const Frame& frame) {
-  Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
-  if (!peer.alive) return;
-  const std::size_t before = peer.sendBuf.size();
-  appendFrame(peer.sendBuf, frame);
+void TcpCommWorld::enqueue(Connection& c, const Frame& frame, bool message) {
+  const std::size_t before = c.sendBuf.size();
+  appendFrame(c.sendBuf, frame);
+  const std::size_t bytes = c.sendBuf.size() - before;
   ++framesSent_;
   NetTelemetry::add(tel_.framesOut);
-  NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(peer.sendBuf.size() - before));
-  flushPeer(rank);
+  NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(bytes));
+  if (message) {
+    ++messagesSent_;
+    bytesSent_ += bytes;
+    NetTelemetry::add(tel_.messagesOut);
+  }
+  flush(c);
 }
 
-void TcpCommWorld::flushPeer(Rank rank) {
-  Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
+void TcpCommWorld::flush(Connection& c) {
   bool progressed = false;
-  while (peer.alive && peer.sendPos < peer.sendBuf.size()) {
-    const ssize_t n = ::send(peer.sock.fd(), peer.sendBuf.data() + peer.sendPos,
-                             peer.sendBuf.size() - peer.sendPos, MSG_NOSIGNAL);
+  while (c.sock.valid() && c.sendPos < c.sendBuf.size()) {
+    const ssize_t n = ::send(c.sock.fd(), c.sendBuf.data() + c.sendPos,
+                             c.sendBuf.size() - c.sendPos, MSG_NOSIGNAL);
     if (n > 0) {
-      peer.sendPos += static_cast<std::size_t>(n);
+      c.sendPos += static_cast<std::size_t>(n);
       progressed = true;
       continue;
     }
+    if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Drained by poll later — but start (or keep) the stall clock: a
       // half-open peer never drains, and only this deadline catches it.
-      if (peer.sendBlockedSince <= 0.0 || progressed) {
-        peer.sendBlockedSince = monotonicSeconds();
-      }
+      if (c.sendBlockedSince <= 0.0 || progressed) c.sendBlockedSince = monotonicSeconds();
       // Against a stalled consumer the backlog would otherwise grow
-      // without bound: cap it and evict the peer as lost.
+      // without bound: cap it and drop the connection.
       if (options_.maxSendBufferBytes > 0 &&
-          peer.sendBuf.size() - peer.sendPos > options_.maxSendBufferBytes) {
+          c.sendBuf.size() - c.sendPos > options_.maxSendBufferBytes) {
         NetTelemetry::add(tel_.sendStalls);
-        markLost(rank, "send backlog overflow");
+        drop(c, "send backlog overflow");
       }
       return;
     }
-    if (n < 0 && errno == EINTR) continue;
-    markLost(rank, "send failed");
+    drop(c, "send failed");
     return;
   }
-  peer.sendBlockedSince = 0.0;
-  if (peer.sendPos == peer.sendBuf.size()) {
-    peer.sendBuf.clear();
-    peer.sendPos = 0;
-  }
+  c.sendBlockedSince = 0.0;
+  c.sendBuf.clear();
+  c.sendPos = 0;
 }
 
-void TcpCommWorld::retireFleetTelemetry(Rank rank) {
-  Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
-  if (options_.telemetry != nullptr && peer.health.seen) {
+void TcpCommWorld::drop(Connection& c, const char* why) {
+  if (!c.sock.valid()) return;
+  c.sock.close();
+  c.sendBuf = {};
+  c.sendPos = 0;
+  c.sendBlockedSince = 0.0;
+  if (c.role == Role::Pending) return;
+  NetTelemetry::add(tel_.disconnects);
+  if (c.role != Role::Worker) return;
+  workers_[static_cast<std::size_t>(c.id) - 1] = nullptr;
+  if (options_.telemetry != nullptr && c.health.seen) {
     auto& reg = options_.telemetry->metrics();
-    const std::string prefix = "fleet.r" + std::to_string(rank) + ".";
+    const std::string prefix = "fleet.r" + std::to_string(c.id) + ".";
     for (const char* name :
          {"execute_ewma_seconds", "tasks_executed", "tasks_failed", "bytes_in",
           "bytes_out", "messages_in", "messages_out", "queue_depth"}) {
       reg.gauge(prefix + name).set(0.0);
     }
-    if (peer.health.rttSeconds >= 0.0) {
+    if (c.health.rttSeconds >= 0.0) {
       reg.gauge(prefix + "rtt_seconds").set(0.0);
       reg.gauge(prefix + "clock_offset_seconds").set(0.0);
     }
   }
-  peer.health = FleetHealth{};
-}
-
-void TcpCommWorld::markLost(Rank rank, const char* why) {
-  Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
-  if (!peer.alive) return;
-  peer.alive = false;
-  peer.sock.close();
-  peer.sendBuf.clear();
-  peer.sendPos = 0;
-  peer.sendBlockedSince = 0.0;
-  // Retire the rank's gauges and clock-offset estimate now: ranks are
-  // never reused, so nothing would ever overwrite them, and a reconnected
-  // worker reporting under its fresh rank must not leave the old keys
-  // frozen at their last pre-loss readings.
-  retireFleetTelemetry(rank);
-  NetTelemetry::add(tel_.disconnects);
-  Message lost;
-  lost.source = rank;
-  lost.tag = kTagWorkerLost;
+  Message lost{c.id, kTagWorkerLost, {}, 0, 0};
   lost.payload.pack(std::string(why));
   inbox_.push_back(std::move(lost));
 }
 
-void TcpCommWorld::serviceListener() {
-  while (auto accepted = tcpAccept(listener_)) {
-    PendingPeer p;
-    p.sock = std::move(*accepted);
-    p.decoder = FrameDecoder(options_.maxFrameBytes);
-    p.since = monotonicSeconds();
-    pending_.push_back(std::move(p));
-  }
-}
-
-void TcpCommWorld::promotePending(std::size_t index) {
-  // Hello validated by the caller; assign the next rank and register.
-  auto peer = std::make_unique<Peer>();
-  peer->sock = std::move(pending_[index].sock);
-  peer->decoder = std::move(pending_[index].decoder);
-  peer->lastHeard = monotonicSeconds();
-  peer->lastBeat = peer->lastHeard;
-  peer->alive = true;
-  peers_.push_back(std::move(peer));
-  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
-
-  const Rank rank = static_cast<Rank>(peers_.size());
+void TcpCommWorld::registerPeer(Connection& c, const Hello& hello) {
   NetTelemetry::add(tel_.connects);
-  enqueueToPeer(rank, makeWelcomeFrame(rank, size()));
+  if (hello.peerKind == kPeerClient) {
+    c.role = Role::Client;
+    c.id = ++lastClientId_;
+    // The Welcome's rank field carries the client id; worldSize is the
+    // worker world as the client would see it (floored at 2 so the
+    // handshake validation on the other end holds before workers join).
+    enqueue(c, makeWelcomeFrame(c.id, std::max(size(), 2)), false);
+    return;
+  }
+  workers_.push_back(&c);
+  c.role = Role::Worker;
+  c.id = static_cast<int>(workers_.size());
+  // The join is queued before any send can fail, so a loss never
+  // overtakes it.
+  inbox_.push_back(Message{c.id, kTagWorkerJoined, {}, 0, 0});
+  enqueue(c, makeWelcomeFrame(c.id, size()), false);
   if (greeting_.has_value()) {
-    enqueueToPeer(rank, makeMessageFrame(greeting_->first,
-                                         std::vector<std::byte>(greeting_->second)));
-  }
-  Message joined;
-  joined.source = rank;
-  joined.tag = kTagWorkerJoined;
-  inbox_.push_back(std::move(joined));
-}
-
-void TcpCommWorld::servicePending(std::size_t index) {
-  PendingPeer& p = pending_[index];
-  std::byte chunk[kReadChunk];
-  bool closed = false;
-  for (;;) {
-    const ssize_t n = ::recv(p.sock.fd(), chunk, sizeof chunk, 0);
-    if (n > 0) {
-      p.decoder.feed(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    // EOF/error: defer the drop until the decoder is consulted — the Hello
-    // may have arrived in the connection's final segments, and a completed
-    // registration must surface (as a join, then a loss) rather than vanish.
-    closed = true;
-    break;
-  }
-  try {
-    if (auto frame = p.decoder.next()) {
-      const Hello hello = parseHello(*frame);  // throws on bad magic/version
-      if (hello.peerKind == kPeerClient) {
-        promoteClient(index);
-      } else {
-        promotePending(index);
-      }
-      return;
-    }
-  } catch (const ProtocolError&) {
-    // Not an sfopt worker (or an incompatible one): refuse registration.
-    ++decodeErrors_;
-    NetTelemetry::add(tel_.decodeErrors);
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
-    return;
-  }
-  // Closed before completing the handshake: just drop it.
-  if (closed) pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
-}
-
-void TcpCommWorld::promoteClient(std::size_t index) {
-  auto client = std::make_unique<ClientPeer>();
-  client->sock = std::move(pending_[index].sock);
-  client->decoder = std::move(pending_[index].decoder);
-  client->alive = true;
-  clients_.push_back(std::move(client));
-  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
-
-  const int id = static_cast<int>(clients_.size());
-  NetTelemetry::add(tel_.connects);
-  // The Welcome's rank field carries the client id; worldSize is the
-  // worker world as the client would see it (floored at 2 so the
-  // handshake validation on the other end holds before workers join).
-  ClientPeer& c = *clients_[static_cast<std::size_t>(id) - 1];
-  const std::size_t before = c.sendBuf.size();
-  appendFrame(c.sendBuf, makeWelcomeFrame(id, std::max(size(), 2)));
-  ++framesSent_;
-  NetTelemetry::add(tel_.framesOut);
-  NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(c.sendBuf.size() - before));
-  flushClient(id);
-}
-
-void TcpCommWorld::dropClient(int client) {
-  ClientPeer& c = *clients_[static_cast<std::size_t>(client) - 1];
-  if (!c.alive) return;
-  c.alive = false;
-  c.sock.close();
-  c.sendBuf.clear();
-  c.sendPos = 0;
-  NetTelemetry::add(tel_.disconnects);
-}
-
-void TcpCommWorld::flushClient(int client) {
-  ClientPeer& c = *clients_[static_cast<std::size_t>(client) - 1];
-  while (c.alive && c.sendPos < c.sendBuf.size()) {
-    const ssize_t n = ::send(c.sock.fd(), c.sendBuf.data() + c.sendPos,
-                             c.sendBuf.size() - c.sendPos, MSG_NOSIGNAL);
-    if (n > 0) {
-      c.sendPos += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    dropClient(client);
-    return;
-  }
-  if (c.sendPos == c.sendBuf.size()) {
-    c.sendBuf.clear();
-    c.sendPos = 0;
+    enqueue(c, makeMessageFrame(greeting_->first, std::vector<std::byte>(greeting_->second)),
+            false);
   }
 }
 
-void TcpCommWorld::serviceClient(int client) {
-  ClientPeer& c = *clients_[static_cast<std::size_t>(client) - 1];
-  std::byte chunk[kReadChunk];
-  bool closed = false;
-  for (;;) {
-    const ssize_t n = ::recv(c.sock.fd(), chunk, sizeof chunk, 0);
-    if (n > 0) {
-      c.decoder.feed(chunk, static_cast<std::size_t>(n));
-      NetTelemetry::add(tel_.bytesIn, n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    // Drain buffered frames below before retiring the id: a cancel or
-    // final status request often rides the connection's last segments.
-    closed = true;
-    break;
-  }
+void TcpCommWorld::serviceRead(Connection& c) {
+  const ReadResult read = readAvailable(c.sock, c.decoder);
+  NetTelemetry::add(tel_.bytesIn, static_cast<std::int64_t>(read.bytes));
   try {
     while (auto frame = c.decoder.next()) {
+      c.lastHeard = monotonicSeconds();
       ++framesReceived_;
       NetTelemetry::add(tel_.framesIn);
-      if (isJobFrame(frame->type)) {
-        ClientRequest req;
-        req.client = client;
-        req.type = frame->type;
-        req.payload = mw::MessageBuffer(std::move(frame->payload));
-        ++messagesReceived_;
-        bytesReceived_ += req.payload.sizeBytes();
-        clientInbox_.push_back(std::move(req));
-        NetTelemetry::add(tel_.messagesIn);
-        continue;
-      }
-      if (frame->type == FrameType::Heartbeat) continue;
-      throw ProtocolError("client sent a non-job frame after registration");
+      dispatch(c, std::move(*frame));
+      if (!c.sock.valid()) return;
     }
-    if (closed) dropClient(client);
   } catch (const ProtocolError&) {
+    // Not an sfopt peer, an incompatible one, or a corrupt stream.
     ++decodeErrors_;
     NetTelemetry::add(tel_.decodeErrors);
-    dropClient(client);
+    drop(c, "protocol violation");
+    return;
   }
+  if (read.closed != nullptr) drop(c, read.closed);
+}
+
+void TcpCommWorld::dispatch(Connection& c, Frame&& frame) {
+  switch (c.role) {
+    case Role::Pending:
+      registerPeer(c, parseHello(frame));  // throws on bad magic/version
+      return;
+    case Role::Client:
+      if (isJobFrame(frame.type)) {
+        ClientRequest req{c.id, frame.type, mw::MessageBuffer(std::move(frame.payload))};
+        ++messagesReceived_;
+        bytesReceived_ += req.payload.sizeBytes();
+        NetTelemetry::add(tel_.messagesIn);
+        clientInbox_.push_back(std::move(req));
+      } else if (frame.type != FrameType::Heartbeat) {
+        throw ProtocolError("client sent a non-job frame after registration");
+      }
+      return;
+    case Role::Worker:
+      switch (frame.type) {
+        case FrameType::Message: {
+          Message m = messageFromFrame(std::move(frame), c.id);
+          ++messagesReceived_;
+          bytesReceived_ += m.payload.sizeBytes();
+          NetTelemetry::add(tel_.messagesIn);
+          inbox_.push_back(std::move(m));
+          return;
+        }
+        case FrameType::Heartbeat:
+          return;  // lastHeard already refreshed
+        case FrameType::Telemetry:
+          handleSnapshot(c, parseTelemetrySnapshot(frame));
+          return;
+        default:
+          throw ProtocolError("unexpected handshake frame after registration");
+      }
+  }
+}
+
+TcpCommWorld::Connection* TcpCommWorld::findClient(int client) const {
+  for (const auto& c : conns_) {
+    if (c->role == Role::Client && c->id == client && c->sock.valid()) return c.get();
+  }
+  return nullptr;
 }
 
 std::vector<TcpCommWorld::ClientRequest> TcpCommWorld::takeClientRequests() {
-  std::vector<ClientRequest> out;
-  out.reserve(clientInbox_.size());
-  while (!clientInbox_.empty()) {
-    out.push_back(std::move(clientInbox_.front()));
-    clientInbox_.pop_front();
-  }
+  std::vector<ClientRequest> out(std::make_move_iterator(clientInbox_.begin()),
+                                 std::make_move_iterator(clientInbox_.end()));
+  clientInbox_.clear();
   return out;
 }
 
 void TcpCommWorld::sendToClient(int client, FrameType type, mw::MessageBuffer payload) {
-  if (client < 1 || client > static_cast<int>(clients_.size())) {
+  if (client < 1 || client > lastClientId_) {
     throw std::out_of_range("TcpCommWorld::sendToClient: unknown client id");
   }
-  ClientPeer& c = *clients_[static_cast<std::size_t>(client) - 1];
-  if (!c.alive) {
+  Connection* c = findClient(client);
+  if (c == nullptr) {
     NetTelemetry::add(tel_.sendsDropped);
     return;
   }
-  const std::size_t before = c.sendBuf.size();
-  appendFrame(c.sendBuf, makeJobFrame(type, payload.releaseWire()));
-  ++messagesSent_;
-  ++framesSent_;
-  bytesSent_ += c.sendBuf.size() - before;
-  NetTelemetry::add(tel_.messagesOut);
-  NetTelemetry::add(tel_.framesOut);
-  NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(c.sendBuf.size() - before));
-  flushClient(client);
+  enqueue(*c, makeJobFrame(type, payload.releaseWire()), true);
 }
 
 int TcpCommWorld::connectedClients() const noexcept {
-  int n = 0;
-  for (const auto& c : clients_) n += c->alive ? 1 : 0;
-  return n;
+  return static_cast<int>(std::count_if(conns_.begin(), conns_.end(), [](const auto& c) {
+    return c->role == Role::Client && c->sock.valid();
+  }));
 }
 
 void TcpCommWorld::pump(double timeoutSeconds) {
@@ -458,59 +388,8 @@ void TcpCommWorld::wake() noexcept {
   }
 }
 
-void TcpCommWorld::servicePeer(Rank rank) {
-  Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
-  std::byte chunk[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(peer.sock.fd(), chunk, sizeof chunk, 0);
-    if (n > 0) {
-      peer.decoder.feed(chunk, static_cast<std::size_t>(n));
-      NetTelemetry::add(tel_.bytesIn, n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    markLost(rank, n == 0 ? "connection closed" : "connection error");
-    return;
-  }
-  try {
-    while (auto frame = peer.decoder.next()) {
-      peer.lastHeard = monotonicSeconds();
-      ++framesReceived_;
-      NetTelemetry::add(tel_.framesIn);
-      switch (frame->type) {
-        case FrameType::Message: {
-          Message m;
-          m.source = rank;
-          m.tag = frame->tag;
-          m.traceId = frame->traceId;
-          m.parentSpan = frame->parentSpan;
-          m.payload = mw::MessageBuffer(std::move(frame->payload));
-          ++messagesReceived_;
-          bytesReceived_ += m.payload.sizeBytes();
-          inbox_.push_back(std::move(m));
-          NetTelemetry::add(tel_.messagesIn);
-          break;
-        }
-        case FrameType::Heartbeat:
-          break;  // lastHeard already refreshed
-        case FrameType::Telemetry:
-          handleSnapshot(rank, parseTelemetrySnapshot(*frame));
-          break;
-        default:
-          throw ProtocolError("unexpected handshake frame after registration");
-      }
-    }
-  } catch (const ProtocolError&) {
-    ++decodeErrors_;
-    NetTelemetry::add(tel_.decodeErrors);
-    markLost(rank, "protocol violation");
-  }
-}
-
-void TcpCommWorld::handleSnapshot(Rank rank, const TelemetrySnapshot& snap) {
-  Peer& peer = *peers_[static_cast<std::size_t>(rank) - 1];
-  FleetHealth& h = peer.health;
+void TcpCommWorld::handleSnapshot(Connection& c, const TelemetrySnapshot& snap) {
+  FleetHealth& h = c.health;
   const double now = masterNow();
   h.seen = true;
   h.executeEwmaSeconds = snap.executeEwmaSeconds;
@@ -533,7 +412,7 @@ void TcpCommWorld::handleSnapshot(Rank rank, const TelemetrySnapshot& snap) {
   }
   if (options_.telemetry == nullptr) return;
   auto& reg = options_.telemetry->metrics();
-  const std::string prefix = "fleet.r" + std::to_string(rank) + ".";
+  const std::string prefix = "fleet.r" + std::to_string(c.id) + ".";
   reg.gauge(prefix + "execute_ewma_seconds").set(h.executeEwmaSeconds);
   reg.gauge(prefix + "tasks_executed").set(static_cast<double>(h.tasksExecuted));
   reg.gauge(prefix + "tasks_failed").set(static_cast<double>(h.tasksFailed));
@@ -551,7 +430,7 @@ void TcpCommWorld::handleSnapshot(Rank rank, const TelemetrySnapshot& snap) {
     e.type = "clock";
     e.name = "fleet.clock";
     e.time = now;
-    e.numFields = {{"rank", static_cast<double>(rank)},
+    e.numFields = {{"rank", static_cast<double>(c.id)},
                    {"offset_seconds", h.clockOffsetSeconds},
                    {"rtt_seconds", h.rttSeconds}};
     options_.telemetry->sink().emit(e);
@@ -559,135 +438,97 @@ void TcpCommWorld::handleSnapshot(Rank rank, const TelemetrySnapshot& snap) {
 }
 
 void TcpCommWorld::pollOnce(double timeoutSeconds) {
+  // Order: listener, wake fd, then every connection in table order (a
+  // closed one polls as fd -1, which poll ignores).  The table size is
+  // snapshotted here: accepts below append connections that were never
+  // polled and must not be indexed against this pass's fds.
   std::vector<pollfd> fds;
-  // Order: listener, wake fd, pending peers, live peers, clients (kinds
-  // recovered by index).  The pending count is snapshotted here:
-  // serviceListener() below may append freshly accepted peers, which were
-  // never polled and must not be indexed against this pass's fds — they
-  // get polled next pass.
   fds.push_back({listener_.fd(), POLLIN, 0});
   fds.push_back({wakeFd_.fd(), POLLIN, 0});
-  const std::size_t polledPending = pending_.size();
-  for (const PendingPeer& p : pending_) fds.push_back({p.sock.fd(), POLLIN, 0});
-  std::vector<Rank> liveRanks;
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    const Peer& p = *peers_[i];
-    if (!p.alive) continue;
-    short events = POLLIN;
-    if (p.sendPos < p.sendBuf.size()) events |= POLLOUT;
-    fds.push_back({p.sock.fd(), events, 0});
-    liveRanks.push_back(static_cast<Rank>(i + 1));
-  }
-  std::vector<int> liveClients;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const ClientPeer& c = *clients_[i];
-    if (!c.alive) continue;
-    short events = POLLIN;
-    if (c.sendPos < c.sendBuf.size()) events |= POLLOUT;
-    fds.push_back({c.sock.fd(), events, 0});
-    liveClients.push_back(static_cast<int>(i + 1));
+  const std::size_t polled = conns_.size();
+  for (const auto& c : conns_) {
+    const short events = c->sendPos < c->sendBuf.size() ? POLLIN | POLLOUT : POLLIN;
+    fds.push_back({c->sock.fd(), events, 0});
   }
 
   const int ready =
       ::poll(fds.data(), fds.size(), toPollMillis(std::min(timeoutSeconds, kPollSliceSeconds)));
   if (ready > 0) {
-    std::size_t idx = 0;
-    if (fds[idx].revents & POLLIN) serviceListener();
-    ++idx;
-    if (fds[idx].revents & POLLIN) {
+    if (fds[0].revents & POLLIN) {
+      while (auto accepted = tcpAccept(listener_)) {
+        auto c = std::make_unique<Connection>();
+        c->sock = std::move(*accepted);
+        c->decoder = FrameDecoder(options_.maxFrameBytes);
+        c->lastHeard = monotonicSeconds();
+        conns_.push_back(std::move(c));
+      }
+    }
+    if (fds[1].revents & POLLIN) {
       std::uint64_t count = 0;
       if (::read(wakeFd_.fd(), &count, sizeof count) < 0) {
         // Only this thread reads the fd, so after POLLIN this succeeds.
       }
       woken_ = true;
     }
-    ++idx;
-    // Walk pending list back to front so erasure is index-stable.
-    for (std::size_t i = polledPending; i-- > 0;) {
-      if (fds[idx + i].revents & (POLLIN | POLLERR | POLLHUP)) servicePending(i);
-    }
-    idx += polledPending;
-    for (std::size_t i = 0; i < liveRanks.size(); ++i) {
-      const short re = fds[idx + i].revents;
-      const Rank rank = liveRanks[i];
-      if (re & (POLLIN | POLLERR | POLLHUP)) servicePeer(rank);
-      if ((re & POLLOUT) && peers_[static_cast<std::size_t>(rank) - 1]->alive) {
-        flushPeer(rank);
-      }
-    }
-    idx += liveRanks.size();
-    for (std::size_t i = 0; i < liveClients.size(); ++i) {
-      const short re = fds[idx + i].revents;
-      const int client = liveClients[i];
-      if (re & (POLLIN | POLLERR | POLLHUP)) serviceClient(client);
-      if ((re & POLLOUT) && clients_[static_cast<std::size_t>(client) - 1]->alive) {
-        flushClient(client);
-      }
+    for (std::size_t i = 0; i < polled; ++i) {
+      const short re = fds[i + 2].revents;
+      if (re & (POLLIN | POLLERR | POLLHUP)) serviceRead(*conns_[i]);
+      if (re & POLLOUT) flush(*conns_[i]);
     }
   }
 
-  // Heartbeat bookkeeping: beat every live peer on the cadence, declare
-  // lost any peer silent past the timeout, and declare lost any peer whose
-  // socket has refused our bytes past the send-stall deadline (a half-open
-  // connection keeps heartbeating us, so recv silence never fires for it).
+  // The deadline sweep, over every connection: beat live workers on the
+  // cadence; drop a worker silent past the heartbeat timeout, or a
+  // connection still without its Hello that long after the accept; drop
+  // any connection whose socket has refused our bytes past the send-stall
+  // deadline (a half-open worker keeps heartbeating us, so recv silence
+  // never fires for it).
   const double now = monotonicSeconds();
   const double stallTimeout = options_.sendStallTimeoutSeconds > 0.0
                                   ? options_.sendStallTimeoutSeconds
                                   : options_.heartbeatTimeoutSeconds;
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    Peer& p = *peers_[i];
-    if (!p.alive) continue;
-    const Rank rank = static_cast<Rank>(i + 1);
-    if (now - p.lastBeat >= options_.heartbeatIntervalSeconds) {
-      p.lastBeat = now;
-      enqueueToPeer(rank, makeHeartbeatFrame(masterNow()));
+  const bool beat = now - lastBeat_ >= options_.heartbeatIntervalSeconds;
+  if (beat) lastBeat_ = now;
+  for (const auto& conn : conns_) {
+    Connection& c = *conn;
+    if (beat && c.role == Role::Worker && c.sock.valid()) {
+      enqueue(c, makeHeartbeatFrame(masterNow()), false);
       NetTelemetry::add(tel_.heartbeatsSent);
     }
-    if (p.alive && now - p.lastHeard > options_.heartbeatTimeoutSeconds) {
-      NetTelemetry::add(tel_.heartbeatMisses);
-      markLost(rank, "heartbeat timeout");
-    }
-    if (p.alive && p.sendBlockedSince > 0.0 && now - p.sendBlockedSince > stallTimeout) {
+    if (!c.sock.valid()) continue;
+    if (c.role != Role::Client && now - c.lastHeard > options_.heartbeatTimeoutSeconds) {
+      const bool worker = c.role == Role::Worker;
+      if (worker) NetTelemetry::add(tel_.heartbeatMisses);
+      drop(c, worker ? "heartbeat timeout" : "handshake timeout");
+    } else if (c.sendBlockedSince > 0.0 && now - c.sendBlockedSince > stallTimeout) {
       NetTelemetry::add(tel_.sendStalls);
-      markLost(rank, "send stall");
+      drop(c, "send stall");
     }
   }
+  std::erase_if(conns_, [](const auto& c) { return !c->sock.valid(); });
 }
 
-std::optional<Message> TcpCommWorld::takeMatching(Rank source, int tag) {
-  const auto it = std::find_if(inbox_.begin(), inbox_.end(),
-                               [&](const Message& m) { return matches(m, source, tag); });
-  if (it == inbox_.end()) return std::nullopt;
-  Message m = std::move(*it);
-  inbox_.erase(it);
-  return m;
+std::optional<Message> TcpCommWorld::await(Rank at, const char* what, double timeoutSeconds,
+                                           Rank source, int tag) {
+  if (at != 0) {
+    throw std::invalid_argument(std::string("TcpCommWorld::") + what +
+                                ": only rank 0 lives on the master transport");
+  }
+  return awaitMatch(inbox_, source, tag, timeoutSeconds,
+                    [this](double slice) { pollOnce(slice); });
 }
 
 Message TcpCommWorld::recv(Rank at, Rank source, int tag) {
-  checkMaster(at, "recv");
-  for (;;) {
-    if (auto m = takeMatching(source, tag)) return std::move(*m);
-    pollOnce(kPollSliceSeconds);
-  }
+  return std::move(*await(at, "recv", kForever, source, tag));
 }
 
 std::optional<Message> TcpCommWorld::recvFor(Rank at, double timeoutSeconds, Rank source,
                                              int tag) {
-  checkMaster(at, "recvFor");
-  const double deadline = monotonicSeconds() + timeoutSeconds;
-  for (;;) {
-    if (auto m = takeMatching(source, tag)) return m;
-    const double remaining = deadline - monotonicSeconds();
-    if (remaining <= 0.0) return std::nullopt;
-    pollOnce(remaining);
-  }
+  return await(at, "recvFor", timeoutSeconds, source, tag);
 }
 
 std::optional<Message> TcpCommWorld::tryRecv(Rank at, Rank source, int tag) {
-  checkMaster(at, "tryRecv");
-  if (auto m = takeMatching(source, tag)) return m;
-  pollOnce(0.0);
-  return takeMatching(source, tag);
+  return await(at, "tryRecv", 0.0, source, tag);
 }
 
 // ---------------------------------------------------------------------------
@@ -706,42 +547,18 @@ TcpWorkerTransport::TcpWorkerTransport(const std::string& host, std::uint16_t po
   }
   // Wait for the Welcome; any stray frames decoded alongside it (the
   // greeting often rides the same segment) stay queued for recv().  The
-  // master-silence clock starts now: fill() measures it from lastHeard_,
-  // and left at zero it would read the whole uptime as silence.
+  // master-silence clock starts now: readSome() measures it from
+  // lastHeard_, and left at zero it would read the whole uptime as silence.
   lastHeard_ = monotonicSeconds();
   const double deadline = monotonicSeconds() + options_.handshakeTimeoutSeconds;
-  std::optional<Welcome> welcome;
-  while (!welcome.has_value()) {
+  while (rank_ < 0) {
     const double remaining = deadline - monotonicSeconds();
     if (remaining <= 0.0) {
       throw ConnectionLost("handshake: no welcome from master within " +
                            std::to_string(options_.handshakeTimeoutSeconds) + "s");
     }
-    fill(std::min(remaining, kPollSliceSeconds));
-    while (auto frame = decoder_.next()) {
-      if (frame->type == FrameType::Welcome) {
-        welcome = parseWelcome(*frame);
-        break;
-      }
-      if (frame->type == FrameType::Message) {
-        Message m;
-        m.source = 0;
-        m.tag = frame->tag;
-        m.traceId = frame->traceId;
-        m.parentSpan = frame->parentSpan;
-        m.payload = mw::MessageBuffer(std::move(frame->payload));
-        inbox_.push_back(std::move(m));
-        inboxDepth_.store(static_cast<std::uint32_t>(inbox_.size()));
-      }
-      if (frame->type == FrameType::Heartbeat && frame->senderTime > 0.0) {
-        lastMasterBeat_.store(frame->senderTime);
-        lastMasterBeatLocal_.store(localNow());
-      }
-    }
+    readSome(std::min(remaining, kPollSliceSeconds));
   }
-  rank_ = welcome->rank;
-  worldSize_ = welcome->worldSize;
-  lastHeard_ = monotonicSeconds();
   NetTelemetry::add(tel_.connects);
   beat_ = std::thread([this] { beatLoop(); });
 }
@@ -840,11 +657,10 @@ void TcpWorkerTransport::writeFrameLocked(const Frame& frame, bool nothrow) {
   NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(wire.size()));
 }
 
-void TcpWorkerTransport::fill(double timeoutSeconds) {
+void TcpWorkerTransport::readSome(double timeoutSeconds) {
   if (dead_.load()) throw ConnectionLost("master connection lost");
   pollfd pfd{sock_.fd(), POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, toPollMillis(timeoutSeconds));
-  if (ready <= 0) {
+  if (::poll(&pfd, 1, toPollMillis(timeoutSeconds)) <= 0) {
     if (options_.masterTimeoutSeconds > 0.0 &&
         monotonicSeconds() - lastHeard_ > options_.masterTimeoutSeconds) {
       dead_.store(true);
@@ -853,41 +669,24 @@ void TcpWorkerTransport::fill(double timeoutSeconds) {
     }
     return;
   }
-  std::byte chunk[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(sock_.fd(), chunk, sizeof chunk, 0);
-    if (n > 0) {
-      decoder_.feed(chunk, static_cast<std::size_t>(n));
-      lastHeard_ = monotonicSeconds();
-      rawBytesIn_ += static_cast<std::uint64_t>(n);
-      NetTelemetry::add(tel_.bytesIn, n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    // Mark dead but return normally so frames already buffered (a shutdown
-    // message often rides the connection's final segments) still reach the
-    // caller; the next fill() throws via the dead_ check at entry.
+  const ReadResult read = readAvailable(sock_, decoder_);
+  if (read.bytes > 0) lastHeard_ = monotonicSeconds();
+  rawBytesIn_ += read.bytes;
+  NetTelemetry::add(tel_.bytesIn, static_cast<std::int64_t>(read.bytes));
+  if (read.closed != nullptr) {
+    // Mark dead but dispatch what is buffered first (a shutdown message
+    // often rides the connection's final segments); the next readSome()
+    // throws via the dead_ check at entry.
     dead_.store(true);
     NetTelemetry::add(tel_.disconnects);
-    return;
   }
-}
-
-void TcpWorkerTransport::readSome(double timeoutSeconds) {
-  fill(timeoutSeconds);
   try {
     while (auto frame = decoder_.next()) {
       ++framesReceived_;
       NetTelemetry::add(tel_.framesIn);
       switch (frame->type) {
         case FrameType::Message: {
-          Message m;
-          m.source = 0;
-          m.tag = frame->tag;
-          m.traceId = frame->traceId;
-          m.parentSpan = frame->parentSpan;
-          m.payload = mw::MessageBuffer(std::move(frame->payload));
+          Message m = messageFromFrame(std::move(*frame), 0);
           ++messagesReceived_;
           bytesReceived_ += m.payload.sizeBytes();
           ++atomicMessagesIn_;
@@ -902,6 +701,15 @@ void TcpWorkerTransport::readSome(double timeoutSeconds) {
             lastMasterBeatLocal_.store(localNow());
           }
           break;
+        case FrameType::Welcome:
+          if (rank_ < 0) {
+            const Welcome welcome = parseWelcome(*frame);
+            rank_ = welcome.rank;
+            worldSize_ = welcome.worldSize;
+            lastHeard_ = monotonicSeconds();
+            break;
+          }
+          [[fallthrough]];
         default:
           dead_.store(true);
           throw ConnectionLost("master sent an unexpected handshake frame");
@@ -915,13 +723,6 @@ void TcpWorkerTransport::readSome(double timeoutSeconds) {
   }
 }
 
-void TcpWorkerTransport::checkSelf(Rank r, const char* what) const {
-  if (r != rank_) {
-    throw std::invalid_argument(std::string("TcpWorkerTransport::") + what +
-                                ": only the assigned rank lives on this transport");
-  }
-}
-
 void TcpWorkerTransport::setStatsProvider(std::function<WorkerStats()> provider) {
   std::lock_guard lock(providerMutex_);
   statsProvider_ = std::move(provider);
@@ -929,7 +730,10 @@ void TcpWorkerTransport::setStatsProvider(std::function<WorkerStats()> provider)
 
 void TcpWorkerTransport::send(Rank from, Rank to, int tag, mw::MessageBuffer payload,
                               std::uint64_t traceId, std::uint64_t parentSpan) {
-  checkSelf(from, "send(from)");
+  if (from != rank_) {
+    throw std::invalid_argument(
+        "TcpWorkerTransport::send(from): only the assigned rank lives on this transport");
+  }
   if (to != 0) {
     throw std::out_of_range("TcpWorkerTransport::send: workers only talk to rank 0");
   }
@@ -943,41 +747,29 @@ void TcpWorkerTransport::send(Rank from, Rank to, int tag, mw::MessageBuffer pay
   NetTelemetry::add(tel_.messagesOut);
 }
 
-std::optional<Message> TcpWorkerTransport::takeMatching(Rank source, int tag) {
-  const auto it = std::find_if(inbox_.begin(), inbox_.end(),
-                               [&](const Message& m) { return matches(m, source, tag); });
-  if (it == inbox_.end()) return std::nullopt;
-  Message m = std::move(*it);
-  inbox_.erase(it);
+std::optional<Message> TcpWorkerTransport::await(Rank at, const char* what,
+                                                 double timeoutSeconds, Rank source, int tag) {
+  if (at != rank_) {
+    throw std::invalid_argument(std::string("TcpWorkerTransport::") + what +
+                                ": only the assigned rank lives on this transport");
+  }
+  auto m = awaitMatch(inbox_, source, tag, timeoutSeconds,
+                      [this](double slice) { readSome(slice); });
   inboxDepth_.store(static_cast<std::uint32_t>(inbox_.size()));
   return m;
 }
 
 Message TcpWorkerTransport::recv(Rank at, Rank source, int tag) {
-  checkSelf(at, "recv");
-  for (;;) {
-    if (auto m = takeMatching(source, tag)) return std::move(*m);
-    readSome(kPollSliceSeconds);
-  }
+  return std::move(*await(at, "recv", kForever, source, tag));
 }
 
 std::optional<Message> TcpWorkerTransport::recvFor(Rank at, double timeoutSeconds,
                                                    Rank source, int tag) {
-  checkSelf(at, "recvFor");
-  const double deadline = monotonicSeconds() + timeoutSeconds;
-  for (;;) {
-    if (auto m = takeMatching(source, tag)) return m;
-    const double remaining = deadline - monotonicSeconds();
-    if (remaining <= 0.0) return std::nullopt;
-    readSome(std::min(remaining, kPollSliceSeconds));
-  }
+  return await(at, "recvFor", timeoutSeconds, source, tag);
 }
 
 std::optional<Message> TcpWorkerTransport::tryRecv(Rank at, Rank source, int tag) {
-  checkSelf(at, "tryRecv");
-  if (auto m = takeMatching(source, tag)) return m;
-  readSome(0.0);
-  return takeMatching(source, tag);
+  return await(at, "tryRecv", 0.0, source, tag);
 }
 
 double backoffDelaySeconds(int attempt, double initialBackoffSeconds,

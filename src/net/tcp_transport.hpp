@@ -113,16 +113,20 @@ struct TcpWorkerOptions {
 /// frames surface through takeClientRequests() and replies go out via
 /// sendToClient() — the job control plane of the multi-tenant service.
 /// Clients are request/response peers: no heartbeat-silence eviction, a
-/// closed connection simply retires the id.
+/// closed connection simply retires the id (ids are never reused).
 ///
-/// Failure detection is three-pronged: a closed/reset connection is
-/// noticed immediately via poll, a hung-but-open peer is noticed when its
-/// heartbeats stop for `heartbeatTimeoutSeconds`, and a half-open peer
-/// that still heartbeats us but stops draining its own socket is noticed
-/// when our sends stall past `sendStallTimeoutSeconds` (or the backlog
-/// exceeds `maxSendBufferBytes`).  Either way the loss is surfaced as a
-/// kTagWorkerLost message so the MW driver requeues the worker's
-/// in-flight task, and the lost rank's `fleet.r<N>.*` gauges are retired.
+/// Every connection — handshaking, worker or client — is one entry in one
+/// table with one read path, one send path and one deadline sweep.  A
+/// connection is dropped when it closes or resets (noticed immediately via
+/// poll), when it sends bytes that do not decode, when it has not
+/// completed its Hello within `heartbeatTimeoutSeconds` of the accept,
+/// when (a worker) its heartbeats stop for `heartbeatTimeoutSeconds`, and
+/// when it stops draining its socket: our sends stall past
+/// `sendStallTimeoutSeconds` or the backlog exceeds `maxSendBufferBytes`.
+/// A half-open worker that still heartbeats us is caught by the last
+/// rule.  A lost worker is surfaced as a kTagWorkerLost message so the MW
+/// driver requeues its in-flight task, and the lost rank's
+/// `fleet.r<N>.*` gauges are retired.
 ///
 /// Threading: intended to be driven by one (master) thread; not
 /// thread-safe, except wake().  All I/O happens inside recv/recvFor/
@@ -168,7 +172,8 @@ class TcpCommWorld final : public Transport {
   [[nodiscard]] std::vector<ClientRequest> takeClientRequests();
 
   /// Send a Job* reply to a client; silently dropped when the client is
-  /// gone (mirrors send()'s contract for lost workers).
+  /// gone (mirrors send()'s contract for lost workers).  Throws
+  /// std::out_of_range for an id that was never assigned.
   void sendToClient(int client, FrameType type, mw::MessageBuffer payload);
 
   /// Clients currently connected (registered and not yet closed).
@@ -208,60 +213,55 @@ class TcpCommWorld final : public Transport {
   [[nodiscard]] std::uint64_t decodeErrors() const override { return decodeErrors_; }
 
  private:
-  struct Peer {
+  enum class Role { Pending, Worker, Client };
+  /// One accepted connection, whatever its role.  A dropped connection
+  /// closes its socket at once and leaves the table at the end of the
+  /// event-loop pass.
+  struct Connection {
     Socket sock;
     FrameDecoder decoder;
     std::vector<std::byte> sendBuf;
     std::size_t sendPos = 0;
+    /// Last decoded frame; the accept time while the Hello is pending.
     double lastHeard = 0.0;
-    double lastBeat = 0.0;
     /// When the kernel first refused our bytes with a backlog pending
     /// (0 = sends are flowing).  Half-open detection: a peer that keeps
     /// heartbeating us but never drains its socket trips this deadline,
     /// not the recv-silence one.
     double sendBlockedSince = 0.0;
-    bool alive = false;
-    FleetHealth health;
-  };
-  struct PendingPeer {
-    Socket sock;
-    FrameDecoder decoder;
-    double since = 0.0;
-  };
-  /// A registered client peer (service control plane, not a worker rank).
-  struct ClientPeer {
-    Socket sock;
-    FrameDecoder decoder;
-    std::vector<std::byte> sendBuf;
-    std::size_t sendPos = 0;
-    bool alive = false;
+    Role role = Role::Pending;
+    int id = 0;           ///< worker rank or client id once registered
+    FleetHealth health;   ///< workers only
   };
 
-  /// One pass of the event loop: poll the listener + every socket for at
-  /// most `timeoutSeconds`, service reads/writes/accepts, then run the
-  /// heartbeat bookkeeping.
+  /// One pass of the event loop: poll the listener + every connection for
+  /// at most `timeoutSeconds`, service reads/writes/accepts, then run the
+  /// deadline sweep.
   void pollOnce(double timeoutSeconds);
-  void serviceListener();
-  void servicePending(std::size_t index);
-  void servicePeer(Rank rank);
-  void handleSnapshot(Rank rank, const TelemetrySnapshot& snap);
+  /// Read everything the socket holds and dispatch each decoded frame;
+  /// frames that rode the connection's final segments are dispatched
+  /// before the close is acted on.
+  void serviceRead(Connection& c);
+  void dispatch(Connection& c, Frame&& frame);
+  void registerPeer(Connection& c, const Hello& hello);
+  void handleSnapshot(Connection& c, const TelemetrySnapshot& snap);
   /// Master time on the telemetry clock when attached (so heartbeat stamps
   /// line up with trace timestamps), else the monotonic process clock.
   [[nodiscard]] double masterNow() const;
-  void promotePending(std::size_t index);
-  void promoteClient(std::size_t index);
-  void serviceClient(int client);
-  void flushClient(int client);
-  void dropClient(int client);
-  void flushPeer(Rank rank);
-  void enqueueToPeer(Rank rank, const Frame& frame);
-  void markLost(Rank rank, const char* why);
-  /// Zero the lost rank's `fleet.r<N>.*` gauges and reset its FleetHealth
-  /// so a reconnecting worker (which gets a fresh rank) leaves no stale
-  /// readings behind under the old keys.
-  void retireFleetTelemetry(Rank rank);
-  [[nodiscard]] std::optional<Message> takeMatching(Rank source, int tag);
-  void checkMaster(Rank at, const char* what) const;
+  /// Queue a frame, count it (as an application message when `message`),
+  /// and flush.
+  void enqueue(Connection& c, const Frame& frame, bool message);
+  /// Write as much of the backlog as the kernel takes, running the stall
+  /// clock and the backlog cap.
+  void flush(Connection& c);
+  /// Close the connection.  A worker's loss surfaces as kTagWorkerLost
+  /// and its `fleet.r<N>.*` gauges are zeroed: ranks are never reused, so
+  /// nothing would ever overwrite them.  Idempotent.
+  void drop(Connection& c, const char* why);
+  [[nodiscard]] Connection* findClient(int client) const;
+  /// The wait loop behind recv/recvFor/tryRecv.
+  [[nodiscard]] std::optional<Message> await(Rank at, const char* what, double timeoutSeconds,
+                                             Rank source, int tag);
 
   Options options_;
   Socket listener_;
@@ -271,9 +271,10 @@ class TcpCommWorld final : public Transport {
   Socket wakeFd_;
   /// A pass drained a wake; the next pump() returns without waiting.
   bool woken_ = false;
-  std::vector<std::unique_ptr<Peer>> peers_;        ///< index = rank - 1
-  std::vector<PendingPeer> pending_;                ///< accepted, awaiting Hello
-  std::vector<std::unique_ptr<ClientPeer>> clients_;  ///< index = client id - 1
+  std::vector<std::unique_ptr<Connection>> conns_;  ///< every open connection
+  std::vector<Connection*> workers_;  ///< index = rank - 1; null once lost
+  int lastClientId_ = 0;
+  double lastBeat_ = 0.0;  ///< one heartbeat cadence for every worker
   std::deque<Message> inbox_;
   std::deque<ClientRequest> clientInbox_;
   std::optional<std::pair<int, std::vector<std::byte>>> greeting_;
@@ -343,16 +344,16 @@ class TcpWorkerTransport final : public Transport {
   /// Blocking framed write under sendMutex_; marks the connection dead and
   /// throws ConnectionLost on failure (unless `nothrow`).
   void writeFrameLocked(const Frame& frame, bool nothrow);
-  /// Poll + read raw bytes into the decoder for at most `timeoutSeconds`
-  /// without dispatching frames (the handshake pulls its Welcome out by
-  /// hand).  Throws ConnectionLost when the socket closes or errors.
-  void fill(double timeoutSeconds);
-  /// fill(), then dispatch every decoded frame (messages to the inbox,
-  /// heartbeats to lastHeard_); handshake frames after registration are a
-  /// protocol violation.
+  /// Poll for at most `timeoutSeconds`, read what arrived, and dispatch
+  /// every decoded frame (the Welcome registers us, messages go to the
+  /// inbox, heartbeats to lastHeard_).  Throws ConnectionLost when the
+  /// socket was already closed, or the master fell silent past its
+  /// timeout; a handshake frame after registration is a protocol
+  /// violation.
   void readSome(double timeoutSeconds);
-  [[nodiscard]] std::optional<Message> takeMatching(Rank source, int tag);
-  void checkSelf(Rank r, const char* what) const;
+  /// The wait loop behind recv/recvFor/tryRecv.
+  [[nodiscard]] std::optional<Message> await(Rank at, const char* what, double timeoutSeconds,
+                                             Rank source, int tag);
 
   Options options_;
   Socket sock_;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <stdexcept>
 
@@ -41,6 +43,20 @@ struct Message {
   std::uint64_t traceId = 0;
   std::uint64_t parentSpan = 0;
 };
+
+/// Remove and return the first message in `inbox` matching (source, tag),
+/// MPI-style: kAnySource / kAnyTag match anything.  The one matcher behind
+/// every endpoint's recv/recvFor/tryRecv.
+[[nodiscard]] inline std::optional<Message> takeMatching(std::deque<Message>& inbox,
+                                                         Rank source, int tag) {
+  const auto it = std::find_if(inbox.begin(), inbox.end(), [&](const Message& m) {
+    return (source == kAnySource || m.source == source) && (tag == kAnyTag || m.tag == tag);
+  });
+  if (it == inbox.end()) return std::nullopt;
+  Message m = std::move(*it);
+  inbox.erase(it);
+  return m;
+}
 
 /// Thrown by a network transport when its peer is gone for good: the
 /// connection closed, reset, or timed out at the protocol level.  Callers

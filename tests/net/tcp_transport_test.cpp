@@ -1,12 +1,16 @@
 #include "net/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "mw/mw_task.hpp"
 #include "telemetry/sink.hpp"
@@ -37,6 +41,80 @@ std::unique_ptr<TcpWorkerTransport> joinWorker(TcpCommWorld& master,
   (void)master.waitForWorkers(master.liveWorkers() + 1, 10.0);
   t.join();
   return worker;
+}
+
+/// A peer that speaks the wire protocol by hand over a raw socket, so a
+/// test controls exactly which bytes reach the master and when the
+/// connection closes.  Single-threaded: the helpers pump the master while
+/// they wait.
+struct RawPeer {
+  Socket sock;
+  FrameDecoder decoder;
+
+  explicit RawPeer(const TcpCommWorld& master)
+      : sock(tcpConnect("127.0.0.1", master.port(), 5.0)) {}
+
+  /// Queue `wire` on the socket; false once the kernel refuses bytes (the
+  /// master stopped draining, or dropped the connection).
+  bool write(const std::vector<std::byte>& wire) const {
+    std::size_t sent = 0;
+    while (sent < wire.size()) {
+      const ssize_t n = ::send(sock.fd(), wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+  bool write(const Frame& frame) const {
+    std::vector<std::byte> wire;
+    appendFrame(wire, frame);
+    return write(wire);
+  }
+
+  /// Pump the master until a frame reaches this peer.
+  std::optional<Frame> await(TcpCommWorld& master, double timeoutSeconds) {
+    const double deadline = monotonicSeconds() + timeoutSeconds;
+    std::byte chunk[4096];
+    while (monotonicSeconds() < deadline) {
+      if (auto frame = decoder.next()) return frame;
+      master.pump(0.01);
+      const ssize_t n = ::recv(sock.fd(), chunk, sizeof chunk, 0);
+      if (n > 0) decoder.feed(chunk, static_cast<std::size_t>(n));
+      if (n == 0) return std::nullopt;
+    }
+    return std::nullopt;
+  }
+
+  /// Pump the master until it closes this connection (a read returns 0).
+  bool closedByMaster(TcpCommWorld& master, double timeoutSeconds) const {
+    const double deadline = monotonicSeconds() + timeoutSeconds;
+    std::byte chunk[4096];
+    while (monotonicSeconds() < deadline) {
+      master.pump(0.01);
+      const ssize_t n = ::recv(sock.fd(), chunk, sizeof chunk, 0);
+      if (n == 0) return true;
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return true;
+    }
+    return false;
+  }
+};
+
+/// Pump the master until a client request arrives (or give up).
+std::vector<TcpCommWorld::ClientRequest> awaitRequests(TcpCommWorld& master,
+                                                       double timeoutSeconds) {
+  const double deadline = monotonicSeconds() + timeoutSeconds;
+  std::vector<TcpCommWorld::ClientRequest> reqs;
+  while (reqs.empty() && monotonicSeconds() < deadline) {
+    master.pump(0.01);
+    reqs = master.takeClientRequests();
+  }
+  return reqs;
+}
+
+mw::MessageBuffer jobId(std::uint64_t id) {
+  mw::MessageBuffer b;
+  b.pack(id);
+  return b;
 }
 
 TEST(TcpTransport, HandshakeAssignsRanksInConnectionOrder) {
@@ -359,6 +437,132 @@ TEST(TcpTransport, FleetSnapshotsAggregateOnMaster) {
   EXPECT_DOUBLE_EQ(reg.gauge("fleet.r1.execute_ewma_seconds").value(), 0.25);
 
   worker->setStatsProvider({});  // barrier before the provider state dies
+}
+
+// -- Connection lifecycle at the edges of the wire --------------------------
+
+TEST(TcpTransport, HelloInTheFinalSegmentSurfacesAsJoinThenLoss) {
+  // The worker's only bytes ride the same segments as its FIN: the master
+  // reads the Hello and the EOF in one pass, and the completed
+  // registration must surface (as a join, then a loss), not vanish.
+  TcpCommWorld master(0);
+  {
+    RawPeer peer(master);
+    ASSERT_TRUE(peer.write(makeHelloFrame()));
+  }  // closed before the master has read anything
+  auto first = master.recvFor(0, 5.0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->tag, kTagWorkerJoined);
+  EXPECT_EQ(first->source, 1);
+  auto second = master.recvFor(0, 5.0);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->tag, kTagWorkerLost);
+  EXPECT_EQ(second->source, 1);
+  EXPECT_EQ(master.liveWorkers(), 0);
+}
+
+TEST(TcpTransport, ClientRequestSentJustBeforeCloseStillSurfaces) {
+  TcpCommWorld master(0);
+  {
+    RawPeer client(master);
+    ASSERT_TRUE(client.write(makeHelloFrame(kPeerClient)));
+    auto welcome = client.await(master, 5.0);
+    ASSERT_TRUE(welcome.has_value());
+    ASSERT_EQ(welcome->type, FrameType::Welcome);
+    EXPECT_EQ(master.connectedClients(), 1);
+    ASSERT_TRUE(client.write(makeJobFrame(FrameType::JobStatus, jobId(7).releaseWire())));
+  }  // the request and the FIN arrive together
+  const auto reqs = awaitRequests(master, 5.0);
+  ASSERT_EQ(reqs.size(), 1u);
+  EXPECT_EQ(reqs[0].type, FrameType::JobStatus);
+  mw::MessageBuffer body = reqs[0].payload;
+  EXPECT_EQ(body.unpackUint64(), 7u);
+  for (int i = 0; i < 100 && master.connectedClients() > 0; ++i) master.pump(0.01);
+  EXPECT_EQ(master.connectedClients(), 0);
+}
+
+TEST(TcpTransport, HandshakeDeadlineDropsSilentAndHalfHelloConnections) {
+  // An accepted connection that never completes its Hello must not hold
+  // its fd forever: past heartbeatTimeoutSeconds the master closes it.
+  TcpCommWorld::Options opts;
+  opts.heartbeatTimeoutSeconds = 0.3;
+  TcpCommWorld master(0, opts);
+  RawPeer silent(master);
+  RawPeer halfHello(master);
+  std::vector<std::byte> hello;
+  appendFrame(hello, makeHelloFrame());
+  hello.resize(hello.size() / 2);
+  ASSERT_TRUE(halfHello.write(hello));
+
+  EXPECT_TRUE(silent.closedByMaster(master, 5.0));
+  EXPECT_TRUE(halfHello.closedByMaster(master, 5.0));
+  EXPECT_EQ(master.decodeErrors(), 0u);
+  EXPECT_EQ(master.liveWorkers(), 0);
+
+  // The deadline costs a real worker nothing: it still joins as rank 1.
+  auto worker = joinWorker(master);
+  EXPECT_EQ(worker->rank(), 1);
+}
+
+TEST(TcpTransport, ClientThatNeverReadsIsDroppedAtTheBacklogCap) {
+  telemetry::NoopSink sink;
+  telemetry::Telemetry spine(sink);
+  TcpCommWorld::Options opts;
+  opts.maxSendBufferBytes = std::size_t{64} << 10;
+  opts.telemetry = &spine;
+  TcpCommWorld master(0, opts);
+  RawPeer client(master);
+  ASSERT_TRUE(client.write(makeHelloFrame(kPeerClient)));
+
+  // Flood status requests and answer each with a large reply the client
+  // never reads: once the kernel buffers fill, the backlog passes the cap.
+  mw::MessageBuffer reply;
+  reply.pack(std::string(std::size_t{1} << 20, 'x'));
+  int id = 0;
+  for (int i = 0; i < 64 && (id == 0 || master.connectedClients() > 0); ++i) {
+    (void)client.write(makeJobFrame(FrameType::JobStatus, jobId(1).releaseWire()));
+    for (auto& req : awaitRequests(master, 0.2)) {
+      id = req.client;
+      master.sendToClient(req.client, FrameType::JobStatus, reply);
+    }
+  }
+  ASSERT_GT(id, 0) << "the client never registered";
+  EXPECT_EQ(master.connectedClients(), 0) << "the backlog cap never dropped the client";
+  auto& reg = spine.metrics();
+  EXPECT_GE(reg.counter("net.send_stalls").value(), 1);
+
+  // A reply to the retired id is a counted drop, never a throw.
+  const std::int64_t dropped = reg.counter("net.sends_dropped").value();
+  EXPECT_NO_THROW(master.sendToClient(id, FrameType::JobStatus, jobId(1)));
+  EXPECT_EQ(reg.counter("net.sends_dropped").value(), dropped + 1);
+}
+
+TEST(TcpTransport, ClosedClientsLeaveTheTableAndIdsAreNeverReused) {
+  TcpCommWorld master(0);
+  // One request/response session: Hello, Welcome, JobStatus, reply.
+  auto session = [&master](RawPeer& client) {
+    EXPECT_TRUE(client.write(makeHelloFrame(kPeerClient)));
+    auto welcome = client.await(master, 5.0);
+    EXPECT_TRUE(welcome.has_value() && welcome->type == FrameType::Welcome);
+    const int id = welcome.has_value() ? parseWelcome(*welcome).rank : 0;
+    EXPECT_TRUE(client.write(makeJobFrame(FrameType::JobStatus, jobId(0).releaseWire())));
+    const auto reqs = awaitRequests(master, 5.0);
+    EXPECT_EQ(reqs.size(), 1u);
+    for (const auto& req : reqs) master.sendToClient(req.client, FrameType::JobStatus, jobId(0));
+    auto reply = client.await(master, 5.0);
+    EXPECT_TRUE(reply.has_value() && reply->type == FrameType::JobStatus);
+    return id;
+  };
+  for (int i = 1; i <= 50; ++i) {
+    RawPeer client(master);
+    EXPECT_EQ(session(client), i);
+  }
+  for (int i = 0; i < 100 && master.connectedClients() > 0; ++i) master.pump(0.01);
+  EXPECT_EQ(master.connectedClients(), 0);
+
+  RawPeer late(master);
+  EXPECT_EQ(session(late), 51);
+  EXPECT_EQ(master.connectedClients(), 1);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "net/frame.hpp"
 #include "net/tcp_transport.hpp"
 #include "noise/noisy_function.hpp"
+#include "service/job.hpp"
 #include "service/service.hpp"
 #include "service/service_client.hpp"
 #include "service/service_worker.hpp"
@@ -616,11 +617,12 @@ int runServeCommand(const Args& args, std::ostream& out) {
   // configured by the master, not by their own command lines.
   mw::MessageBuffer cfg;
   cfg.pack(std::string("noisy-v1"));
-  cfg.pack(fn);
-  cfg.pack(static_cast<std::int64_t>(dim));
-  cfg.pack(args.getDouble("sigma0", 1.0));
-  cfg.pack(static_cast<std::uint64_t>(args.getInt("seed", 2026)));
-  cfg.pack(static_cast<std::int64_t>(clients));
+  const service::ObjectiveSpec spec{.function = fn,
+                                    .dim = static_cast<std::int64_t>(dim),
+                                    .sigma0 = args.getDouble("sigma0", 1.0),
+                                    .seed = static_cast<std::uint64_t>(args.getInt("seed", 2026)),
+                                    .clients = clients};
+  spec.pack(cfg);
   comm.setGreeting(mw::kTagConfig, std::move(cfg));
 
   out << "listening on 0.0.0.0:" << comm.port() << " (protocol v" << net::kProtocolVersion
@@ -641,6 +643,36 @@ int runServeCommand(const Args& args, std::ostream& out) {
   telemetrySession.finish(out);
   return 0;
 }
+
+namespace {
+
+/// Run `worker` on `transport` until the master's shutdown, then print the
+/// shutdown line (plus `detail`, read once the worker has stopped).  The
+/// worker's task counters ride every heartbeat as a fleet snapshot; the
+/// provider is detached before `worker` dies (the clear is a barrier
+/// against an in-flight heartbeat poll).
+int serveTasks(net::TcpWorkerTransport& transport, mw::MWWorker& worker,
+               CliTelemetry& telemetrySession, std::ostream& out,
+               const std::function<std::string()>& detail = {}) {
+  worker.setTelemetry(telemetrySession.get());
+  transport.setStatsProvider([&worker] {
+    return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
+                            worker.executeEwmaSeconds()};
+  });
+  try {
+    worker.run();
+  } catch (...) {
+    transport.setStatsProvider({});
+    throw;
+  }
+  transport.setStatsProvider({});
+  out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
+      << worker.tasksFailed() << " failed" << (detail ? detail() : "") << "\n";
+  telemetrySession.finish(out);
+  return 0;
+}
+
+}  // namespace
 
 int runWorkerCommand(const Args& args, std::ostream& out) {
   applyIsaFlag(args);
@@ -696,58 +728,20 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
             << std::flush;
         service::ServiceWorker worker(*transport, rank,
                                       static_cast<int>(args.getInt("job-cache", 4)));
-        worker.setTelemetry(telemetrySession.get());
-        transport->setStatsProvider([&worker] {
-          return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
-                                  worker.executeEwmaSeconds()};
+        return serveTasks(*transport, worker, telemetrySession, out, [&worker] {
+          return " (" + std::to_string(worker.cacheMisses()) + " objective build(s))";
         });
-        try {
-          worker.run();
-        } catch (...) {
-          transport->setStatsProvider({});
-          throw;
-        }
-        transport->setStatsProvider({});
-        out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
-            << worker.tasksFailed() << " failed (" << worker.cacheMisses()
-            << " objective build(s))\n";
-        telemetrySession.finish(out);
-        return 0;
       }
       if (schema != "noisy-v1") {
         throw std::runtime_error("sfopt worker: unsupported config schema '" + schema + "'");
       }
-      const std::string fn = cfg.unpackString();
-      const auto dim = static_cast<std::size_t>(cfg.unpackInt64());
-      noise::NoisyFunction::Options objOpts;
-      objOpts.sigma0 = cfg.unpackDouble();
-      objOpts.seed = cfg.unpackUint64();
-      const int clients = static_cast<int>(cfg.unpackInt64());
-      const noise::NoisyFunction objective(dim, lookupFunction(fn), objOpts);
-      out << "objective: " << fn << " dim " << dim << " sigma0 " << objOpts.sigma0 << ", "
-          << clients << " client(s) per vertex server\n"
+      const service::ObjectiveSpec spec = service::ObjectiveSpec::unpack(cfg);
+      const noise::NoisyFunction objective = spec.makeObjective();
+      out << "objective: " << spec.function << " dim " << spec.dim << " sigma0 " << spec.sigma0
+          << ", " << spec.clients << " client(s) per vertex server\n"
           << std::flush;
-
-      mw::SamplingWorker worker(*transport, rank, objective, clients);
-      worker.setTelemetry(telemetrySession.get());
-      // Expose the worker's task counters to the heartbeat thread so every
-      // beat ships a fleet snapshot; detach before `worker` dies (the clear
-      // is a barrier against an in-flight heartbeat poll).
-      transport->setStatsProvider([&worker] {
-        return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
-                                worker.executeEwmaSeconds()};
-      });
-      try {
-        worker.run();
-      } catch (...) {
-        transport->setStatsProvider({});
-        throw;
-      }
-      transport->setStatsProvider({});
-      out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
-          << worker.tasksFailed() << " failed\n";
-      telemetrySession.finish(out);
-      return 0;
+      mw::SamplingWorker worker(*transport, rank, objective, static_cast<int>(spec.clients));
+      return serveTasks(*transport, worker, telemetrySession, out);
     } catch (const net::ConnectionLost& e) {
       out << "connection lost: " << e.what() << (reconnect ? " - reconnecting" : "") << "\n"
           << std::flush;
